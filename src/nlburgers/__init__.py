@@ -31,7 +31,6 @@ from .convolve import (
     brute_force_convolve,
     full_line_convolve,
     odd_convolve,
-    odd_convolve_direct,
 )
 from .kernels import (
     DivergentMomentError,
@@ -40,8 +39,6 @@ from .kernels import (
     build_kernel,
     exponential_kernel,
     gaussian_kernel,
-    kernel_cdf,
-    kernel_moments,
     moment_quadrature,
     read_kernel_table,
     tabulated_kernel,

@@ -1,6 +1,7 @@
-"""Adaptive quadrature helpers used by the oracle paths.
+"""Quadrature helpers: composite trapezoid weights, and the adaptive
+routine used by the oracle paths.
 
-The main routine refines composite midpoint sums by repeated interval
+The adaptive routine refines composite midpoint sums by repeated interval
 halving and accelerates them with a Romberg table.  The midpoint rule is
 open: segment endpoints are never evaluated, so integrands may jump at the
 supplied edges (kernel support boundaries, interpolation kinks).  Within a
@@ -19,7 +20,14 @@ class QuadratureError(RuntimeError):
     """Refinement failed to converge within the level budget."""
 
 
-def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24, min_levels=2):
+def trapezoid_weights(m: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights on m + 1 nodes spaced h apart."""
+    w = np.full(m + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24):
     """Integrate f over [edges[0], edges[-1]], split at the interior edges.
 
     All segments are halved in lockstep; the total at each level feeds a
@@ -59,7 +67,7 @@ def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24, min_levels=
         row = new_row
         diag.append(row[-1])
 
-        if level >= min_levels:
+        if level >= 2:
             err = abs(diag[-1] - diag[-2])
             if err <= max(atol, rtol * abs(diag[-1])):
                 return diag[-1]

@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +109,15 @@ def _float_list(text: str):
     return [float(t) for t in items]
 
 
+def _residuals(profile, kernel, refine: int) -> dict:
+    pointwise, _ = waves.pointwise_residual(profile, kernel, refine=refine)
+    return {
+        "pointwise": pointwise,
+        "weak": waves.weak_residual(profile, kernel, refine=refine),
+        "flux_balance": waves.flux_balance(profile, kernel, refine=refine),
+    }
+
+
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
@@ -124,7 +132,6 @@ SOLVE_DEFAULTS = {
     "tol_iter": 1e-8,
     "max_iter": 5000,
     "out_dir": ".",
-    "seed": 0,
 }
 
 
@@ -136,7 +143,6 @@ def _solve_payload(cfg: dict):
         tol_iter=cfg["tol_iter"], max_iter=int(cfg["max_iter"]),
         refine=int(cfg["refine"]),
     )
-    residual, _ = waves.pointwise_residual(profile, kernel, refine=int(cfg["refine"]))
     meta = {
         "config": cfg,
         "kernel": cfg["kernel"],
@@ -151,11 +157,7 @@ def _solve_payload(cfg: dict):
         "jump": profile.jump,
         "classification": profile.classification,
         "converged": profile.converged,
-        "residuals": {
-            "pointwise": residual,
-            "weak": waves.weak_residual(profile, kernel, refine=int(cfg["refine"])),
-            "flux_balance": waves.flux_balance(profile, kernel, refine=int(cfg["refine"])),
-        },
+        "residuals": _residuals(profile, kernel, int(cfg["refine"])),
     }
     return profile, trace, meta
 
@@ -175,18 +177,7 @@ def cmd_solve(args) -> int:
 # classify
 # ----------------------------------------------------------------------
 
-CLASSIFY_DEFAULTS = {
-    "kernel": "exp:k=1",
-    "u_minus": 1.0,
-    "u_plus": -1.0,
-    "length": None,
-    "grid_n": 1024,
-    "refine": 8,
-    "tol_iter": 1e-8,
-    "max_iter": 5000,
-    "out_dir": ".",
-    "seed": 0,
-}
+CLASSIFY_DEFAULTS = {**SOLVE_DEFAULTS, "grid_n": 1024}
 
 
 def cmd_classify(args) -> int:
@@ -231,7 +222,6 @@ SWEEP_DEFAULTS = {
     "max_iter": 5000,
     "workers": 1,
     "out_dir": ".",
-    "seed": 0,
 }
 
 SWEEP_COLUMNS = ["kernel", "amplitude", "status", "classification",
@@ -248,17 +238,19 @@ def _sweep_cell(task):
         record = waves.classify_shock(kernel, params, n=grid_n, refine=refine,
                                       tol_iter=tol_iter, max_iter=max_iter)
         profile = record.profile
-        pw, _ = waves.pointwise_residual(profile, kernel, refine=refine)
+        res = _residuals(profile, kernel, refine)
         row.update({
             "status": "ok",
             "classification": record.measured,
             "predicted_by_theorem": str(record.predicted_by_theorem).lower(),
             "jump": repr(profile.jump),
             "iterations": str(profile.iterations),
-            "pointwise_residual": repr(pw),
-            "weak_residual": repr(waves.weak_residual(profile, kernel, refine=refine)),
-            "flux_balance": repr(waves.flux_balance(profile, kernel, refine=refine)),
+            "pointwise_residual": repr(res["pointwise"]),
+            "weak_residual": repr(res["weak"]),
+            "flux_balance": repr(res["flux_balance"]),
         })
+    except (waves.SchemeInvariantError, waves.IterateCollapseError):
+        raise  # a discretization bug, not a property of the cell
     except Exception as exc:  # per-row isolation: failures become row status
         row.update({"status": f"error: {type(exc).__name__}: {exc}",
                     "classification": "", "predicted_by_theorem": "",
@@ -321,35 +313,16 @@ SIMULATE_DEFAULTS = {
     "tanh_steepness": 3.0,
     "init_from": None,      # profile.csv written by the solve command
     "out_dir": ".",
-    "seed": 0,
 }
 
 
-@dataclass
-class _ProfileTable:
-    """Profile loaded back from profile.csv, for translate comparisons."""
-
-    x: np.ndarray
-    big_u: np.ndarray
-
-    @property
-    def u_minus(self) -> float:
-        return float(self.big_u[0])
-
-    @property
-    def u_plus(self) -> float:
-        return float(self.big_u[-1])
-
-    def sample(self, x):
-        return np.interp(x, self.x, self.big_u,
-                         left=self.u_minus, right=self.u_plus)
-
-
-def load_profile_csv(path) -> _ProfileTable:
+def load_profile_csv(path):
+    """(x, U) columns of a profile.csv; np.interp over them holds the end
+    values constant beyond the table."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns 'x,U'")
-    return _ProfileTable(data[:, 0], data[:, 1])
+    return data[:, 0], data[:, 1]
 
 
 def cmd_simulate(args) -> int:
@@ -366,7 +339,7 @@ def cmd_simulate(args) -> int:
     table = None
     if cfg["init_from"]:
         table = load_profile_csv(cfg["init_from"])
-        state = cauchy.initial_state(sim_cfg, lambda x: table.sample(x))
+        state = cauchy.initial_state(sim_cfg, lambda x: np.interp(x, *table))
     elif cfg["init"] == "riemann":
         state = cauchy.initial_state(
             sim_cfg, lambda x: np.where(x < 0.0, sim_cfg.u_left, sim_cfg.u_right))
@@ -402,8 +375,9 @@ def cmd_simulate(args) -> int:
         except (cauchy.SimulationError, ValueError) as exc:
             diagnostics["measured_speed_error"] = str(exc)
     if table is not None:
-        speed = 0.5 * (table.u_minus + table.u_plus)
-        shifted = table.sample(traj.final.x - speed * traj.final.t)
+        xs, big_u = table
+        speed = 0.5 * (float(big_u[0]) + float(big_u[-1]))
+        shifted = np.interp(traj.final.x - speed * traj.final.t, xs, big_u)
         l1 = float(np.sum(np.abs(traj.final.u - shifted)) * sim_cfg.dx)
         diagnostics["L1_error_vs_translate"] = l1
         diagnostics["translate_speed"] = speed
@@ -419,7 +393,6 @@ VALIDATE_DEFAULTS = {
     "kernel": "exp:k=1",
     "probes": 256,
     "out_dir": ".",
-    "seed": 0,
 }
 
 
@@ -452,9 +425,16 @@ def cmd_kernel_validate(args) -> int:
 def _add_common(sub, defaults):
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--seed", type=int)
     if "kernel" in defaults:
         sub.add_argument("--kernel", help="kernel spec, e.g. exp:k=1")
+
+
+def _add_solver_flags(sub):
+    """Grid and iteration flags shared by solve, classify and sweep."""
+    sub.add_argument("--grid-n", dest="grid_n", type=int)
+    sub.add_argument("--refine", type=int)
+    sub.add_argument("--tol-iter", dest="tol_iter", type=float)
+    sub.add_argument("--max-iter", dest="max_iter", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,27 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("solve", help="compute one traveling-wave profile")
-    _add_common(p, SOLVE_DEFAULTS)
-    p.add_argument("--u-minus", dest="u_minus", type=float)
-    p.add_argument("--u-plus", dest="u_plus", type=float)
-    p.add_argument("--length", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--refine", type=int)
-    p.add_argument("--tol-iter", dest="tol_iter", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("classify", help="continuous / discontinuous verdict")
-    _add_common(p, CLASSIFY_DEFAULTS)
-    p.add_argument("--u-minus", dest="u_minus", type=float)
-    p.add_argument("--u-plus", dest="u_plus", type=float)
-    p.add_argument("--length", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--refine", type=int)
-    p.add_argument("--tol-iter", dest="tol_iter", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(func=cmd_classify)
+    wave_commands = (
+        ("solve", SOLVE_DEFAULTS, cmd_solve, "compute one traveling-wave profile"),
+        ("classify", CLASSIFY_DEFAULTS, cmd_classify,
+         "continuous / discontinuous verdict"),
+    )
+    for name, defaults, func, text in wave_commands:
+        p = subs.add_parser(name, help=text)
+        _add_common(p, defaults)
+        p.add_argument("--u-minus", dest="u_minus", type=float)
+        p.add_argument("--u-plus", dest="u_plus", type=float)
+        p.add_argument("--length", type=float)
+        _add_solver_flags(p)
+        p.set_defaults(func=func)
 
     p = subs.add_parser("sweep", help="classification over kernels x amplitudes")
     _add_common(p, SWEEP_DEFAULTS)
@@ -494,10 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitudes", help="comma-separated amplitudes")
     p.add_argument("--amp-log", dest="amp_log", help="lo:hi:count, log-spaced")
     p.add_argument("--center", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--refine", type=int)
-    p.add_argument("--tol-iter", dest="tol_iter", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
+    _add_solver_flags(p)
     p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_sweep)
 

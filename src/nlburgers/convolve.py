@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from ._quad import refine_segments
+from ._quad import refine_segments, trapezoid_weights
 from .kernels import Kernel
 
 #: default subcell refinement of the quadrature grid
@@ -130,7 +130,7 @@ def snap_length(kernel: Kernel, length: float, n: int,
 
 
 # ----------------------------------------------------------------------
-# fine-grid plumbing shared by both geometries
+# fine-grid plumbing
 # ----------------------------------------------------------------------
 
 
@@ -141,12 +141,6 @@ def _fine_values(values: np.ndarray, refine: int) -> np.ndarray:
     w = np.arange(refine) / refine
     base = values[:-1, None] * (1.0 - w) + values[1:, None] * w
     return np.append(base.ravel(), values[-1])
-
-
-def _trapezoid_weights(m: int, hf: float) -> np.ndarray:
-    w = np.full(m + 1, hf)
-    w[0] = w[-1] = 0.5 * hf
-    return w
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +191,7 @@ class OddConvolver:
         # K(-2L + p hf) reversed: Hankel generator K(x_i + y_q)
         kh = kernel.density(-2.0 * grid.length + np.arange(2 * m + 1) * hf)
         self._khr = kh[::-1].copy()
-        self._weights = _trapezoid_weights(m, hf)
+        self._weights = trapezoid_weights(m, hf)
 
         # exact row integral: int_{-inf}^{inf} [K(x-y) - K(x+y)] 1_{y<0} dy
         self._exact_row = 1.0 - 2.0 * kernel.cdf(grid.nodes())
@@ -220,23 +214,23 @@ class OddConvolver:
         out[-1] = 0.0  # odd function against an even kernel vanishes at 0
         return np.maximum(out, 0.0)
 
-    def apply(self, field: HalfLineField, check: bool = True) -> HalfLineField:
+    def apply(self, field: HalfLineField) -> HalfLineField:
         if field.grid != self.grid:
             raise FieldError("field lives on a different grid")
-        if check:
-            field.check_admissible()
+        field.check_admissible()
         out = self.apply_values(field.values, field.far_value)
         return HalfLineField(self.grid, out, field.far_value)
 
     # -- reference path ---------------------------------------------------
 
-    def apply_direct(self, field: HalfLineField, chunk: int = 64) -> np.ndarray:
+    def apply_direct(self, field: HalfLineField) -> np.ndarray:
         """Same sums by direct summation; the fast path must match this."""
         g = self._weights * _fine_values(field.values - field.far_value, self.refine)
         m, r = self._m, self.refine
         n = self.grid.n
         q = np.arange(m + 1)
         out = np.empty(n + 1)
+        chunk = 64
         for i0 in range(0, n + 1, chunk):
             i = np.arange(i0, min(i0 + chunk, n + 1))
             t = self._kt[i[:, None] * r - q[None, :] + m]
@@ -253,12 +247,6 @@ def odd_convolve(kernel: Kernel, field: HalfLineField,
     return OddConvolver(kernel, field.grid, refine).apply(field)
 
 
-def odd_convolve_direct(kernel: Kernel, field: HalfLineField,
-                        refine: int = REFINE_DEFAULT) -> np.ndarray:
-    field.check_admissible()
-    return OddConvolver(kernel, field.grid, refine).apply_direct(field)
-
-
 # ----------------------------------------------------------------------
 # full-line convolution with constant far fields
 # ----------------------------------------------------------------------
@@ -267,12 +255,12 @@ def odd_convolve_direct(kernel: Kernel, field: HalfLineField,
 class FullLineConvolver:
     """K*u on uniform samples of [a, b] with constant states outside.
 
-    Rows are normalized to unit sum (trapezoid weights plus the two CDF
-    tail terms), so constants are reproduced exactly: K*c = c.
+    Quadrature is trapezoid on the sample points themselves.  Rows are
+    normalized to unit sum (trapezoid weights plus the two CDF tail terms),
+    so constants are reproduced exactly: K*c = c.
     """
 
-    def __init__(self, kernel: Kernel, x: np.ndarray,
-                 refine: int = 1):
+    def __init__(self, kernel: Kernel, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("need at least two sample points")
@@ -287,15 +275,12 @@ class FullLineConvolver:
             )
         self.kernel = kernel
         self.x = x
-        self.refine = int(refine)
 
         npts = x.size
-        r = self.refine
-        m = (npts - 1) * r
-        hf = dx[0] / r
+        m = npts - 1
         self._m = m
-        self._kt = kernel.density((np.arange(2 * m + 1) - m) * hf)
-        self._weights = _trapezoid_weights(m, hf)
+        self._kt = kernel.density((np.arange(2 * m + 1) - m) * dx[0])
+        self._weights = trapezoid_weights(m, dx[0])
         self._nfft = next_fast_len(3 * m + 1, real=True)
         self._ft_kt = rfft(self._kt, self._nfft)
 
@@ -305,10 +290,9 @@ class FullLineConvolver:
         self._row = row + self._tail_left + self._tail_right
 
     def _correlate(self, values: np.ndarray) -> np.ndarray:
-        g = self._weights * _fine_values(values, self.refine)
+        g = self._weights * values
         conv = irfft(rfft(g, self._nfft) * self._ft_kt, self._nfft)
-        idx = np.arange(self.x.size)
-        return conv[self._m + idx * self.refine]
+        return conv[self._m:self._m + self.x.size]
 
     def apply(self, values: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -319,10 +303,10 @@ class FullLineConvolver:
         return out / self._row
 
 
-def full_line_convolve(kernel: Kernel, x, values, u_left: float, u_right: float,
-                       refine: int = 1) -> np.ndarray:
+def full_line_convolve(kernel: Kernel, x, values, u_left: float,
+                       u_right: float) -> np.ndarray:
     """One-shot full-line convolution; see FullLineConvolver."""
-    return FullLineConvolver(kernel, np.asarray(x, dtype=float), refine).apply(
+    return FullLineConvolver(kernel, np.asarray(x, dtype=float)).apply(
         np.asarray(values, dtype=float), u_left, u_right)
 
 

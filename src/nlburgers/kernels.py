@@ -161,7 +161,7 @@ def exponential_kernel(k: float) -> Kernel:
 def gaussian_kernel(sigma: float) -> Kernel:
     """Centered normal density with standard deviation sigma."""
     sigma = _require_positive("scale sigma", sigma)
-    m1 = sigma * np.sqrt(2.0 / np.pi)
+    m1 = float(sigma * np.sqrt(2.0 / np.pi))
     return _checked(Kernel("gaussian", sigma, m1, sigma**2))
 
 
@@ -264,41 +264,32 @@ def _checked(kernel: Kernel) -> Kernel:
 # ----------------------------------------------------------------------
 
 
-def kernel_cdf(kernel: Kernel, x):
-    """Cumulative mass Phi(x); Phi(0) = 1/2 for every even kernel."""
-    return kernel.cdf(x)
-
-
-def kernel_moments(kernel: Kernel):
-    """(M1, M2) = (int |y| K, int y^2 K)."""
-    return kernel.m1, kernel.m2
-
-
-def moment_quadrature(kernel: Kernel, rtol: float = 1e-12):
-    """Moments recomputed by adaptive quadrature; the oracle path.
-
-    Integrates over [0, R] with R the 1e-14 mass radius, split at density
-    breakpoints, and doubles (evenness).  Independent of the closed forms.
-    """
+def _quadrature_edges(kernel: Kernel):
+    """[0, R] with R the 1e-14 mass radius, split at density breakpoints."""
     r = kernel.radius(1e-14)
     edges = sorted({0.0, r, *(b for b in kernel.breakpoints() if 0.0 < b < r)})
     if kernel.family == "tabulated":
         # density kinks at every table node
         nodes = kernel.table_y[kernel.table_y >= 0.0]
         edges = sorted(set(edges).union(float(v) for v in nodes))
-    m1 = 2.0 * refine_segments(lambda y: y * kernel.density(y), edges, rtol=rtol)
-    m2 = 2.0 * refine_segments(lambda y: y * y * kernel.density(y), edges, rtol=rtol)
+    return edges
+
+
+def moment_quadrature(kernel: Kernel):
+    """Moments recomputed by adaptive quadrature; the oracle path.
+
+    Integrates over the half line up to the 1e-14 mass radius and doubles
+    (evenness).  Independent of the closed forms.
+    """
+    edges = _quadrature_edges(kernel)
+    m1 = 2.0 * refine_segments(lambda y: y * kernel.density(y), edges)
+    m2 = 2.0 * refine_segments(lambda y: y * y * kernel.density(y), edges)
     return m1, m2
 
 
-def mass_quadrature(kernel: Kernel, rtol: float = 1e-12) -> float:
+def mass_quadrature(kernel: Kernel) -> float:
     """Total mass recomputed by adaptive quadrature over the 1e-14 radius."""
-    r = kernel.radius(1e-14)
-    edges = sorted({0.0, r, *(b for b in kernel.breakpoints() if 0.0 < b < r)})
-    if kernel.family == "tabulated":
-        nodes = kernel.table_y[kernel.table_y >= 0.0]
-        edges = sorted(set(edges).union(float(v) for v in nodes))
-    return 2.0 * refine_segments(kernel.density, edges, rtol=rtol)
+    return 2.0 * refine_segments(kernel.density, _quadrature_edges(kernel))
 
 
 @dataclass
@@ -340,7 +331,7 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
     scale = max(float(np.max(ky)), 1e-300)
     nonneg_worst = float(max(0.0, -min(np.min(ky), np.min(kny))))
 
-    mass = mass_quadrature(kernel, rtol=1e-12)
+    mass = mass_quadrature(kernel)
     mass_worst = float(abs(mass + kernel.tail_mass(r) - 1.0))
 
     pos = y[y > 0.0]

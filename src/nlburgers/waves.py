@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._quad import trapezoid_weights
 from .convolve import (
     REFINE_DEFAULT,
     SOLVER_TAIL_TOL,
@@ -52,6 +53,10 @@ INVARIANT_TOL = 1e-10
 RATIO_CONTINUOUS = 0.6
 RATIO_DISCONTINUOUS = 0.9
 JUMP_GRID_FACTOR = 10.0
+
+# subsolution search: probe count on [-L, 0) and the cap on eps halvings
+SUBSOLUTION_PROBES = 1024
+SUBSOLUTION_MAX_HALVINGS = 40
 
 
 class ParamsError(ValueError):
@@ -133,11 +138,11 @@ class IterationTrace:
     def iterations(self) -> int:
         return len(self.sup_diffs)
 
-    def sup_diffs_nonincreasing(self, slack: float = 1e-12) -> bool:
+    def sup_diffs_nonincreasing(self) -> bool:
         d = np.asarray(self.sup_diffs[1:])
         if d.size < 2:
             return True
-        return bool(np.all(np.diff(d) <= slack))
+        return bool(np.all(np.diff(d) <= 1e-12))
 
     def rows(self):
         for i in range(self.iterations):
@@ -175,8 +180,7 @@ class WaveProfile:
 
     def odd_component(self) -> np.ndarray:
         """Odd extension of the wave component; 0 at the origin node."""
-        v = self.values
-        return np.concatenate([v[:-1], [0.0], -v[-2::-1]])
+        return _odd_extension(self.values)
 
     def magnitude(self) -> np.ndarray:
         """|u| on the full-line grid, with u(0-) kept at the origin node."""
@@ -188,6 +192,12 @@ class WaveProfile:
         xs, big_u = self.full_line()
         return np.interp(x, xs, big_u,
                          left=self.params.u_minus, right=self.params.u_plus)
+
+
+def _odd_extension(v: np.ndarray) -> np.ndarray:
+    """Half-line samples on [-L, 0] extended oddly to the 2N+1 full-line
+    nodes, with 0 at the origin node."""
+    return np.concatenate([v[:-1], [0.0], -v[-2::-1]])
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +219,7 @@ def _g_profile(kernel: Kernel, u_c: float, eps: float, probes: np.ndarray):
     """
     r = kernel.radius(1e-13)
     z = np.linspace(-r, r, 8193)
-    w = np.full(z.size, z[1] - z[0])
-    w[0] = w[-1] = 0.5 * (z[1] - z[0])
-    kz = kernel.density(z) * w
+    kz = kernel.density(z) * trapezoid_weights(z.size - 1, z[1] - z[0])
 
     num = np.empty(probes.size)
     chunk = 256
@@ -226,8 +234,8 @@ def _g_profile(kernel: Kernel, u_c: float, eps: float, probes: np.ndarray):
     return float(np.max(g)), limit
 
 
-def subsolution(params: WaveParams, kernel: Kernel, grid: HalfLineGrid,
-                probe_count: int = 1024, max_halvings: int = 40) -> SubsolutionSpec:
+def subsolution(params: WaveParams, kernel: Kernel,
+                grid: HalfLineGrid) -> SubsolutionSpec:
     """Pick eps so the arctan profile is a verified subsolution.
 
     Starting candidate eps_0 = u_c / (pi M2) puts the x -> 0 limit of g at
@@ -236,17 +244,18 @@ def subsolution(params: WaveParams, kernel: Kernel, grid: HalfLineGrid,
     u_c = params.u_c
     if not (np.isfinite(kernel.m2) and kernel.m2 > 0.0):
         raise SubsolutionError("kernel lacks a finite second moment")
-    probes = -grid.length + grid.length * np.arange(probe_count) / probe_count
+    probes = (-grid.length
+              + grid.length * np.arange(SUBSOLUTION_PROBES) / SUBSOLUTION_PROBES)
     eps = u_c / (np.pi * kernel.m2)
-    for halvings in range(max_halvings + 1):
+    for halvings in range(SUBSOLUTION_MAX_HALVINGS + 1):
         g_sup, g_limit = _g_profile(kernel, u_c, eps, probes)
         if max(g_sup, g_limit) <= 1.0:
             samples = (2.0 * u_c / np.pi) * np.arctan(-eps * grid.nodes())
             return SubsolutionSpec(eps, samples, g_sup, g_limit, halvings)
         eps *= 0.5
     raise SubsolutionError(
-        f"g(x, eps) stayed above 1 after {max_halvings} halvings; the kernel "
-        "violates the finite-second-moment hypothesis in practice"
+        f"g(x, eps) stayed above 1 after {SUBSOLUTION_MAX_HALVINGS} halvings; "
+        "the kernel violates the finite-second-moment hypothesis in practice"
     )
 
 
@@ -380,19 +389,19 @@ def default_length(kernel: Kernel, params: WaveParams, n: int = 4096,
 def solve_wave(kernel: Kernel, params: WaveParams, *,
                length: Optional[float] = None, n: int = 4096,
                tol_iter: float = 1e-8, max_iter: int = 5000,
-               refine: int = REFINE_DEFAULT, validate: bool = True):
+               refine: int = REFINE_DEFAULT):
     """Iterate from the supersolution to the wave; returns (profile, trace).
 
-    Raises SchemeInvariantError if any ordering invariant fails beyond
+    Raises KernelError if the kernel fails its hypothesis checks, and
+    SchemeInvariantError if any ordering invariant fails beyond
     1e-10: that indicates a discretization bug, not a property of the
     problem.  Hitting max_iter is not an error; the best iterate comes
     back with converged=False and classification 'indeterminate'.
     """
-    if validate:
-        report = validate_kernel(kernel)
-        if not report.all_passed:
-            bad = [k for k, c in report.checks.items() if not c.passed]
-            raise KernelError(f"kernel fails hypothesis checks: {', '.join(bad)}")
+    report = validate_kernel(kernel)
+    if not report.all_passed:
+        bad = [k for k, c in report.checks.items() if not c.passed]
+        raise KernelError(f"kernel fails hypothesis checks: {', '.join(bad)}")
     if length is None:
         length = default_length(kernel, params, n, refine)
     else:
@@ -481,7 +490,7 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
     for size in sizes:
         prof, _ = solve_wave(kernel, params, length=length, n=size,
                              tol_iter=tol_iter, max_iter=max_iter,
-                             refine=refine, validate=False)
+                             refine=refine)
         profiles.append(prof)
 
     jumps = tuple(p.jump for p in profiles)
@@ -520,8 +529,9 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
 
 
 def pointwise_residual(profile: WaveProfile, kernel: Kernel,
-                       refine: int = REFINE_DEFAULT, collar: int = 5):
-    """max |u u' - (K*u - u)| at interior nodes, a collar around 0 excluded.
+                       refine: int = REFINE_DEFAULT):
+    """max |u u' - (K*u - u)| at interior nodes, a five-node collar at 0
+    excluded.
 
     Returns (residual, grid spacing).  u' is the centered difference; the
     collar isolates the point where the profile may jump.  For kernels
@@ -536,7 +546,7 @@ def pointwise_residual(profile: WaveProfile, kernel: Kernel,
     du = (u[2:] - u[:-2]) / (2.0 * h)
     res = np.abs(u[1:-1] * du - (g[1:-1] - u[1:-1]))
     keep = np.ones(res.size, dtype=bool)
-    keep[res.size - collar:] = False
+    keep[res.size - 5:] = False
     x = grid.nodes()[1:-1]
     for offset in kernel.density_jumps():
         keep &= np.abs(x + offset) > 2.0 * h
@@ -582,11 +592,8 @@ def weak_residual(profile: WaveProfile, kernel: Kernel, bumps=None,
 
     g = OddConvolver(kernel, grid, refine).apply_values(
         profile.values, profile.params.u_c)
-    g_full = np.concatenate([g[:-1], [0.0], -g[-2::-1]])
-    source = g_full - profile.odd_component()
-
-    weights = np.full(x.size, h)
-    weights[0] = weights[-1] = 0.5 * h
+    source = _odd_extension(g) - profile.odd_component()
+    weights = trapezoid_weights(x.size - 1, h)
 
     worst = 0.0
     for c, w in bumps:
@@ -609,15 +616,12 @@ def flux_balance(profile: WaveProfile, kernel: Kernel,
     u = profile.values
     u_c = profile.params.u_c
     g = OddConvolver(kernel, grid, refine).apply_values(u, u_c)
-    weights = np.full(u.size, grid.h)
-    weights[0] = weights[-1] = 0.5 * grid.h
-    integral = float(np.sum(weights * (g - u)))
+    integral = float(np.sum(trapezoid_weights(grid.n, grid.h) * (g - u)))
     target = 0.5 * (float(u[-1]) ** 2 - u_c ** 2)
     return abs(integral - target)
 
 
-def jump_identity(profile: WaveProfile, kernel: Kernel,
-                  n_outer: int = 8193, n_inner: int = 257) -> float:
+def jump_identity(profile: WaveProfile, kernel: Kernel) -> float:
     """| int y K(y) int_0^1 u(y t) dt dy + u_c^2 / 2 | for continuous waves.
 
     The derivation moves the derivative through the convolution, which
@@ -637,12 +641,10 @@ def jump_identity(profile: WaveProfile, kernel: Kernel,
     x_full = np.concatenate([x_neg, -x_neg[-2::-1]])
     u_full = profile.odd_component()
 
-    y = np.linspace(-r, r, n_outer)
-    t = np.linspace(0.0, 1.0, n_inner)
-    wy = np.full(n_outer, y[1] - y[0])
-    wy[0] = wy[-1] = 0.5 * (y[1] - y[0])
-    wt = np.full(n_inner, t[1] - t[0])
-    wt[0] = wt[-1] = 0.5 * (t[1] - t[0])
+    y = np.linspace(-r, r, 8193)
+    t = np.linspace(0.0, 1.0, 257)
+    wy = trapezoid_weights(y.size - 1, y[1] - y[0])
+    wt = trapezoid_weights(t.size - 1, t[1] - t[0])
 
     z = y[:, None] * t[None, :]
     u_z = np.interp(z.ravel(), x_full, u_full, left=u_c, right=-u_c)

@@ -7,6 +7,7 @@ import pytest
 
 from nlburgers import cli
 from nlburgers import kernels as kk
+from nlburgers import waves as wv
 
 
 def run(argv):
@@ -47,6 +48,7 @@ class TestSolveCommand:
         assert meta["converged"] is True
         assert meta["s"] == 0.0 and meta["u_c"] == 1.0
         assert meta["config"]["grid_n"] == 256
+        assert "seed" not in meta["config"]
         assert (out / "profile.csv").exists()
         assert (out / "trace.csv").exists()
 
@@ -94,16 +96,18 @@ class TestSolveCommand:
         assert (tmp_path / "b" / "profile.csv").exists()
         assert not (tmp_path / "a").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["bogus", "seed"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"kernel": "exp:k=1", "bogus": 1}))
+        config.write_text(json.dumps({"kernel": "exp:k=1", key: 1}))
         assert run(["solve", "--config", str(config)]) == 1
-        assert "bogus" in json.loads(capsys.readouterr().err)["message"]
+        assert key in json.loads(capsys.readouterr().err)["message"]
 
 
 class TestClassifyCommand:
-    def test_discontinuous(self, tmp_path):
-        code = run(["classify", "--kernel", "exp:k=1", "--u-minus", "2.5",
+    @pytest.mark.parametrize("spec", ["exp:k=1", "gauss:sigma=1"])
+    def test_discontinuous(self, tmp_path, spec):
+        code = run(["classify", "--kernel", spec, "--u-minus", "2.5",
                     "--u-plus", "-2.5", "--grid-n", "256",
                     "--out-dir", str(tmp_path)])
         assert code == 0
@@ -156,6 +160,22 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == "ok"
         assert "error" in lines[2]
+
+    @pytest.mark.parametrize("bug", [wv.SchemeInvariantError, wv.IterateCollapseError])
+    def test_discretization_bug_is_fatal(self, tmp_path, capsys, monkeypatch, bug):
+        # a bug in one cell must not become a row next to a good one
+        classify = wv.classify_shock
+
+        def flaky(kernel, params, **kwargs):
+            if params.amplitude > 1.0:
+                raise bug("injected")
+            return classify(kernel, params, **kwargs)
+
+        monkeypatch.setattr(wv, "classify_shock", flaky)
+        assert run(["sweep", "--kernels", "exp:k=1", "--amplitudes", "0.6,2.4",
+                    "--grid-n", "64", "--out-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == bug.__name__
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_all_rows_failing_exit_one(self, tmp_path):
         assert run(["sweep", "--kernels", "exp:k=-1",

@@ -200,7 +200,9 @@ class TestSolve:
         _, trace = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)
         assert trace.sup_diffs_nonincreasing()
 
-    def test_invalid_kernel_rejected(self):
+    @pytest.mark.parametrize("solver", [wv.solve_wave, wv.classify_shock],
+                             ids=lambda f: f.__name__)
+    def test_invalid_kernel_rejected(self, solver):
         y = np.linspace(-6.0, 6.0, 601)
         vals = 0.5 * np.exp(-np.abs(y))
         vals[300] = -1e-3
@@ -208,7 +210,7 @@ class TestSolve:
         bad = kk.Kernel("tabulated", 0.0, 1.0, 2.0, table_y=y, table_k=vals,
                         table_cdf=cdf)
         with pytest.raises(kk.KernelError):
-            wv.solve_wave(bad, wv.WaveParams(1.0, -1.0), n=512)
+            solver(bad, wv.WaveParams(1.0, -1.0), n=512)
 
 
 class TestClassification:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -81,7 +82,7 @@ def _load_config(path):
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     merged = dict(defaults)
-    merged.update(_load_config(getattr(args, "config", None)))
+    merged.update(_load_config(args.config))
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -93,9 +94,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _write_json(payload: dict, path: Path):
+    # encode first: a non-finite number raises before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _error_json(exc: BaseException):
@@ -135,7 +137,7 @@ SOLVE_DEFAULTS = {
 }
 
 
-def _solve_payload(cfg: dict):
+def cmd_solve(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     params = waves.WaveParams(cfg["u_minus"], cfg["u_plus"])
     profile, trace = waves.solve_wave(
@@ -159,14 +161,6 @@ def _solve_payload(cfg: dict):
         "converged": profile.converged,
         "residuals": _residuals(profile, kernel, int(cfg["refine"])),
     }
-    return profile, trace, meta
-
-
-def cmd_solve(args) -> int:
-    cfg = _resolve(args, SOLVE_DEFAULTS)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    profile, trace, meta = _solve_payload(cfg)
     waves.write_profile_csv(profile, out / "profile.csv")
     waves.write_trace_csv(trace, out / "trace.csv")
     _write_json(meta, out / "profile.meta.json")
@@ -180,10 +174,7 @@ def cmd_solve(args) -> int:
 CLASSIFY_DEFAULTS = {**SOLVE_DEFAULTS, "grid_n": 1024}
 
 
-def cmd_classify(args) -> int:
-    cfg = _resolve(args, CLASSIFY_DEFAULTS)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_classify(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     params = waves.WaveParams(cfg["u_minus"], cfg["u_plus"])
     record = waves.classify_shock(
@@ -252,18 +243,15 @@ def _sweep_cell(task):
     except (waves.SchemeInvariantError, waves.IterateCollapseError):
         raise  # a discretization bug, not a property of the cell
     except Exception as exc:  # per-row isolation: failures become row status
-        row.update({"status": f"error: {type(exc).__name__}: {exc}",
-                    "classification": "", "predicted_by_theorem": "",
-                    "jump": "", "iterations": "", "pointwise_residual": "",
-                    "weak_residual": "", "flux_balance": ""})
+        # the other columns stay blank (DictWriter's restval)
+        row["status"] = f"error: {type(exc).__name__}: {exc}"
     return row
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve(args, SWEEP_DEFAULTS)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
+def cmd_sweep(cfg: dict, out: Path) -> int:
+    workers = int(cfg["workers"])
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     specs = [s.strip() for s in cfg["kernels"].split(";") if s.strip()]
     if cfg["amp_log"]:
         lo, hi, count = cfg["amp_log"].split(":")
@@ -278,7 +266,8 @@ def cmd_sweep(args) -> int:
     tasks = [(spec, amp, cfg["center"], int(cfg["grid_n"]), int(cfg["refine"]),
               cfg["tol_iter"], int(cfg["max_iter"]))
              for spec in specs for amp in amplitudes]
-    workers = int(cfg["workers"])
+    # a pool forks all its workers at once: never more than cells or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
@@ -325,10 +314,7 @@ def load_profile_csv(path):
     return data[:, 0], data[:, 1]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args, SIMULATE_DEFAULTS)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     sim_cfg = cauchy.SimConfig(
         a=cfg["domain_a"], b=cfg["domain_b"], m=int(cfg["cells"]),
@@ -396,10 +382,7 @@ VALIDATE_DEFAULTS = {
 }
 
 
-def cmd_kernel_validate(args) -> int:
-    cfg = _resolve(args, VALIDATE_DEFAULTS)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_kernel_validate(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     report = kernels.validate_kernel(kernel, int(cfg["probes"]))
     payload = {
@@ -422,22 +405,31 @@ def cmd_kernel_validate(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub, defaults):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--out-dir", dest="out_dir")
-    if "kernel" in defaults:
-        sub.add_argument("--kernel", help="kernel spec, e.g. exp:k=1")
+COMMANDS = {
+    "solve": (SOLVE_DEFAULTS, cmd_solve, "compute one traveling-wave profile"),
+    "classify": (CLASSIFY_DEFAULTS, cmd_classify,
+                 "continuous / discontinuous verdict"),
+    "sweep": (SWEEP_DEFAULTS, cmd_sweep, "classification over kernels x amplitudes"),
+    "simulate": (SIMULATE_DEFAULTS, cmd_simulate, "finite-volume run of the PDE"),
+    "kernel-validate": (VALIDATE_DEFAULTS, cmd_kernel_validate,
+                        "check the theory hypotheses"),
+}
 
+# flag types of the options whose default is None; the rest take type(default)
+_NONE_TYPES = {"length": float, "amp_log": str, "level": float, "init_from": str}
 
-def _add_solver_flags(sub):
-    """Grid and iteration flags shared by solve, classify and sweep."""
-    sub.add_argument("--grid-n", dest="grid_n", type=int)
-    sub.add_argument("--refine", type=int)
-    sub.add_argument("--tol-iter", dest="tol_iter", type=float)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
+_FLAG_EXTRAS = {
+    "kernel": {"help": "kernel spec, e.g. exp:k=1"},
+    "kernels": {"help": "semicolon-separated kernel specs"},
+    "amplitudes": {"help": "comma-separated amplitudes"},
+    "amp_log": {"help": "lo:hi:count, log-spaced"},
+    "init": {"choices": ["riemann", "tanh", "constant"]},
+    "init_from": {"help": "profile.csv from the solve command"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag --foo-bar per defaults key foo_bar, plus --config."""
     parser = argparse.ArgumentParser(
         prog="nlburgers",
         description="Traveling waves of u_t + u u_x + u - K*u = 0: solver, "
@@ -445,60 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "validator.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    wave_commands = (
-        ("solve", SOLVE_DEFAULTS, cmd_solve, "compute one traveling-wave profile"),
-        ("classify", CLASSIFY_DEFAULTS, cmd_classify,
-         "continuous / discontinuous verdict"),
-    )
-    for name, defaults, func, text in wave_commands:
+    for name, (defaults, _, text) in COMMANDS.items():
         p = subs.add_parser(name, help=text)
-        _add_common(p, defaults)
-        p.add_argument("--u-minus", dest="u_minus", type=float)
-        p.add_argument("--u-plus", dest="u_plus", type=float)
-        p.add_argument("--length", type=float)
-        _add_solver_flags(p)
-        p.set_defaults(func=func)
-
-    p = subs.add_parser("sweep", help="classification over kernels x amplitudes")
-    _add_common(p, SWEEP_DEFAULTS)
-    p.add_argument("--kernels", help="semicolon-separated kernel specs")
-    p.add_argument("--amplitudes", help="comma-separated amplitudes")
-    p.add_argument("--amp-log", dest="amp_log", help="lo:hi:count, log-spaced")
-    p.add_argument("--center", type=float)
-    _add_solver_flags(p)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("simulate", help="finite-volume run of the PDE")
-    _add_common(p, SIMULATE_DEFAULTS)
-    p.add_argument("--u-left", dest="u_left", type=float)
-    p.add_argument("--u-right", dest="u_right", type=float)
-    p.add_argument("--domain-a", dest="domain_a", type=float)
-    p.add_argument("--domain-b", dest="domain_b", type=float)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--snapshot-interval", dest="snapshot_interval", type=float)
-    p.add_argument("--level", type=float)
-    p.add_argument("--init", choices=["riemann", "tanh", "constant"])
-    p.add_argument("--tanh-steepness", dest="tanh_steepness", type=float)
-    p.add_argument("--init-from", dest="init_from",
-                   help="profile.csv from the solve command")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("kernel-validate", help="check the theory hypotheses")
-    _add_common(p, VALIDATE_DEFAULTS)
-    p.add_argument("--probes", type=int)
-    p.set_defaults(func=cmd_kernel_validate)
-
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=_NONE_TYPES.get(key, type(default)),
+                           **_FLAG_EXTRAS.get(key, {}))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    defaults, handler, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = _resolve(args, defaults)
+        out = Path(cfg["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        return handler(cfg, out)
     except Exception as exc:  # contract: machine-readable error, exit 1
         _error_json(exc)
         return EXIT_ERROR

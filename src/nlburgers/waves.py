@@ -397,7 +397,10 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     1e-10: that indicates a discretization bug, not a property of the
     problem.  Hitting max_iter is not an error; the best iterate comes
     back with converged=False and classification 'indeterminate'.
+    ValueError if max_iter < 1: no sweep would leave no measured sup_diff.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     report = validate_kernel(kernel)
     if not report.all_passed:
         bad = [k for k, c in report.checks.items() if not c.passed]

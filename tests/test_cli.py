@@ -1,5 +1,6 @@
 """CLI contract: files, exit codes, determinism, config handling."""
 
+import argparse
 import json
 
 import numpy as np
@@ -12,6 +13,30 @@ from nlburgers import waves as wv
 
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_each_option_declared_once(tmp_path, name):
+    # the defaults table is the only declaration: flags and config keys
+    defaults = cli.COMMANDS[name][0]
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subs.choices[name]._actions
+             if a.option_strings and a.dest != "help"}
+    assert dests == {"config"} | set(defaults)
+
+    config = tmp_path / "all.json"
+    config.write_text(json.dumps(defaults))
+    args = parser.parse_args([name, "--config", str(config)])
+    assert cli._resolve(args, defaults) == defaults
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        cli._write_json({"x": float("inf")}, path)
+    assert not path.exists()
 
 
 class TestKernelSpecs:
@@ -65,6 +90,13 @@ class TestSolveCommand:
                     "--u-plus", "-1", "--grid-n", "256", "--max-iter", "2",
                     "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_zero_max_iter_error_json(self, tmp_path, capsys):
+        code = run(["solve", "--kernel", "exp:k=1", "--grid-n", "64",
+                    "--max-iter", "0", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not (tmp_path / "profile.meta.json").exists()
 
     def test_determinism_and_config_equivalence(self, tmp_path):
         out = tmp_path / "out"
@@ -152,6 +184,38 @@ class TestSweepCommand:
                            "--out-dir", str(tmp_path / "pool")]) == 0
         assert ((tmp_path / "serial" / "sweep.csv").read_bytes()
                 == (tmp_path / "pool" / "sweep.csv").read_bytes())
+
+    def test_pool_never_wider_than_the_sweep(self, tmp_path, monkeypatch):
+        # an in-process stand-in: a real pool forks all its workers at once
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert run(["sweep", "--kernels", "exp:k=1", "--amplitudes", "0.6,2.4",
+                    "--grid-n", "64", "--workers", "64",
+                    "--out-dir", str(tmp_path)]) == 0
+        assert asked == [2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, tmp_path, capsys, workers):
+        assert run(["sweep", "--kernels", "exp:k=1", "--amplitudes", "0.6",
+                    "--grid-n", "64", "--workers", workers,
+                    "--out-dir", str(tmp_path)]) == 1
+        assert "workers" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_bad_rows_reported_not_fatal(self, tmp_path):
         assert run(["sweep", "--kernels", "exp:k=1;exp:k=-1",

@@ -212,6 +212,13 @@ class TestSolve:
         with pytest.raises(kk.KernelError):
             solver(bad, wv.WaveParams(1.0, -1.0), n=512)
 
+    @pytest.mark.parametrize("solver", [wv.solve_wave, wv.classify_shock],
+                             ids=lambda f: f.__name__)
+    def test_zero_max_iter_rejected(self, solver):
+        # no sweep would leave final_sup_diff at inf
+        with pytest.raises(ValueError, match="max_iter"):
+            solver(EXP1, wv.WaveParams(1.0, -1.0), n=64, max_iter=0)
+
 
 class TestClassification:
     def test_strong_shock(self):

@@ -29,8 +29,6 @@ from .convolve import (
     HalfLineGrid,
     OddConvolver,
     brute_force_convolve,
-    full_line_convolve,
-    odd_convolve,
 )
 from .kernels import (
     DivergentMomentError,

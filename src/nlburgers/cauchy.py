@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -137,14 +136,10 @@ def stable_dt(u: np.ndarray, cfg: SimConfig) -> float:
     return min(cfg.cfl * cfg.dx / speed, DT_CAP)
 
 
-def step(state: SimState, kernel: Kernel, cfg: SimConfig,
-         convolver: Optional[FullLineConvolver] = None,
-         dt: Optional[float] = None) -> SimState:
-    """Advance one explicit step (dt chosen by the CFL rule if not given)."""
-    if convolver is None:
-        convolver = FullLineConvolver(kernel, state.x)
-    if dt is None:
-        dt = stable_dt(state.u, cfg)
+def step(state: SimState, cfg: SimConfig, convolver: FullLineConvolver,
+         dt: float) -> SimState:
+    """Advance one explicit step of size dt; ``convolver`` is the plan for
+    the cell centers and ``stable_dt`` gives the CFL-limited step."""
     conv = convolver.apply(state.u, cfg.u_left, cfg.u_right)
     u_new = _explicit_update(state.u, conv, dt, cfg.dx, cfg.u_left, cfg.u_right)
     if not np.all(np.isfinite(u_new)):
@@ -199,7 +194,7 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     while state.t < cfg.t_end - 1e-12:
         target = min(next_snap, cfg.t_end)
         dt = min(stable_dt(state.u, cfg), target - state.t)
-        state = step(state, kernel, cfg, convolver, dt)
+        state = step(state, cfg, convolver, dt)
         if state.t >= target - 1e-12:
             traj.add(state)
             next_snap = target + cfg.snapshot_interval

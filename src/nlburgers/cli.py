@@ -79,17 +79,37 @@ def _load_config(path):
     return data
 
 
+def _flag_type(key: str, default):
+    return _NONE_TYPES.get(key, type(default))
+
+
+def _coerce(key: str, value, kind):
+    """A config-file value as its flag's type; null stays None.  A value
+    the conversion would change (256.7 for an int key) is refused."""
+    if value is None:
+        return None
+    try:
+        coerced = kind(value)
+    except (TypeError, ValueError):
+        coerced = None
+    if coerced != value:
+        raise ValueError(f"config key {key!r}: {value!r} is not a {kind.__name__}")
+    return coerced
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
+    from_file = _load_config(args.config)
+    unknown = set(from_file) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(defaults)
-    merged.update(_load_config(args.config))
+    for key, value in from_file.items():
+        merged[key] = _coerce(key, value, _flag_type(key, defaults[key]))
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    unknown = set(merged) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return merged
 
 
@@ -442,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         for key, default in defaults.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=_NONE_TYPES.get(key, type(default)),
+                           type=_flag_type(key, default),
                            **_FLAG_EXTRAS.get(key, {}))
     return parser
 

@@ -241,12 +241,6 @@ class OddConvolver:
         return np.maximum(out, 0.0)
 
 
-def odd_convolve(kernel: Kernel, field: HalfLineField,
-                 refine: int = REFINE_DEFAULT) -> HalfLineField:
-    """One-shot K*u for an odd field given by its half-line samples."""
-    return OddConvolver(kernel, field.grid, refine).apply(field)
-
-
 # ----------------------------------------------------------------------
 # full-line convolution with constant far fields
 # ----------------------------------------------------------------------
@@ -301,13 +295,6 @@ class FullLineConvolver:
         out = self._correlate(values)
         out += u_left * self._tail_left + u_right * self._tail_right
         return out / self._row
-
-
-def full_line_convolve(kernel: Kernel, x, values, u_left: float,
-                       u_right: float) -> np.ndarray:
-    """One-shot full-line convolution; see FullLineConvolver."""
-    return FullLineConvolver(kernel, np.asarray(x, dtype=float)).apply(
-        np.asarray(values, dtype=float), u_left, u_right)
 
 
 # ----------------------------------------------------------------------

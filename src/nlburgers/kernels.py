@@ -354,7 +354,7 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
         "nonnegativity": CheckResult(bool(nonneg_worst <= 0.0), nonneg_worst),
         "unit_mass": CheckResult(bool(mass_worst <= 1e-8), mass_worst),
         "monotone_decay": CheckResult(bool(decay_worst <= 1e-12 * scale), decay_worst),
-        "finite_m2": CheckResult(bool(m2_ok), 0.0 if m2_ok else float("inf")),
+        "finite_m2": CheckResult(bool(m2_ok), 0.0 if m2_ok else float(kernel.m2)),
         "bounded_variation": CheckResult(bool(np.isfinite(tv)), tv),
     }
     return KernelValidation(checks=checks, probe_count=probe_count,

@@ -343,10 +343,10 @@ def _scan(r: np.ndarray, b: np.ndarray, decay: np.ndarray, x0: float) -> np.ndar
     return out
 
 
-def iterate_once(kernel: Kernel, current: HalfLineField, params: WaveParams,
-                 convolver: Optional[OddConvolver] = None,
-                 refine: int = REFINE_DEFAULT) -> HalfLineField:
-    """One sweep: solve w + u_n w' = K*u_n with w(-L) = u_c.
+def iterate_once(current: HalfLineField, params: WaveParams,
+                 convolver: OddConvolver) -> HalfLineField:
+    """One sweep: solve w + u_n w' = K*u_n with w(-L) = u_c, where K*u_n
+    comes from ``convolver``, the plan for ``current``'s grid.
 
     The positivity floor guards the interior nodes only: there the iterate
     is pinned above the subsolution, so dropping below 1e-12 means the
@@ -362,8 +362,6 @@ def iterate_once(kernel: Kernel, current: HalfLineField, params: WaveParams,
             f"(min interior sample {interior_min:.3e}, n={current.grid.n}, "
             f"L={current.grid.length:.6g}); the scheme collapsed"
         )
-    if convolver is None:
-        convolver = OddConvolver(kernel, current.grid, refine)
     g = convolver.apply_values(current.values, current.far_value)
     out = _advance(current.values, g, current.grid.h, params.u_c)
     if not np.all(np.isfinite(out)):
@@ -420,7 +418,7 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     converged = False
     sup_diff = np.inf
     for _ in range(max_iter):
-        nxt = iterate_once(kernel, current, params, convolver)
+        nxt = iterate_once(current, params, convolver)
         v, w = current.values, nxt.values
 
         mono = int(np.count_nonzero(w > v + INVARIANT_TOL))
@@ -481,13 +479,9 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
     J(N), J(2N), J(4N) at fixed L: ratios below RATIO_CONTINUOUS mean the
     jump is a vanishing discretization artifact; ratios above
     RATIO_DISCONTINUOUS with J(4N) clear of the finest spacing mean a
-    genuine sub-shock; anything else stays indeterminate.
+    genuine sub-shock; anything else stays indeterminate.  The N solve
+    resolves L (see solve_wave); the 2N and 4N solves reuse it.
     """
-    if length is None:
-        length = default_length(kernel, params, n, refine)
-    else:
-        length = snap_length(kernel, float(length), n, refine)
-
     sizes = (n, 2 * n, 4 * n)
     profiles = []
     for size in sizes:
@@ -495,6 +489,7 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
                              tol_iter=tol_iter, max_iter=max_iter,
                              refine=refine)
         profiles.append(prof)
+        length = prof.grid.length
 
     jumps = tuple(p.jump for p in profiles)
     ratios = tuple(
@@ -519,7 +514,7 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
         jumps=jumps,
         ratios=ratios,
         grid_sizes=sizes,
-        length=length,
+        length=finest.grid.length,
         amplitude=params.amplitude,
         threshold=threshold,
         profile=finest,

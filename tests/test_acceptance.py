@@ -69,7 +69,8 @@ class TestCriterion1:
         errors = {}
         for n in (2048, 4096):
             grid = cv.HalfLineGrid(30.0, n)
-            u1 = wv.iterate_once(EXP1, wv.supersolution(params, grid), params)
+            u1 = wv.iterate_once(wv.supersolution(params, grid), params,
+                                 cv.OddConvolver(EXP1, grid))
             exact = 1.0 - 0.5 * np.exp(grid.nodes())
             errors[n] = float(np.max(np.abs(u1.values - exact)))
         order = np.log2(errors[2048] / errors[4096])
@@ -84,7 +85,7 @@ class TestCriterion2:
         t0 = time.perf_counter()
         grid = cv.HalfLineGrid(30.0, 4096)
         field = cv.HalfLineField(grid, np.ones(grid.n + 1), 1.0)
-        out = cv.odd_convolve(EXP1, field).values
+        out = cv.OddConvolver(EXP1, grid).apply(field).values
         x = grid.nodes()
         sup = float(np.max(np.abs(out - (1.0 - np.exp(x)))))
 
@@ -207,7 +208,7 @@ class TestCriterion8:
             state = cy.initial_state(cfg, 3.0)
             conv = cv.FullLineConvolver(kernel, state.x)
             for _ in range(100):
-                state = cy.step(state, kernel, cfg, conv)
+                state = cy.step(state, cfg, conv, cy.stable_dt(state.u, cfg))
             worst = max(worst, float(np.max(np.abs(state.u - 3.0))))
         report(8, worst <= 1e-12,
                f"constant state deviation {worst:.2e} <= 1e-12 after 100 "

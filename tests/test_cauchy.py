@@ -38,7 +38,7 @@ class TestStep:
         state = cy.initial_state(cfg, 3.0)
         conv = FullLineConvolver(EXP1, state.x)
         for _ in range(100):
-            state = cy.step(state, EXP1, cfg, conv)
+            state = cy.step(state, cfg, conv, cy.stable_dt(state.u, cfg))
         assert np.max(np.abs(state.u - 3.0)) <= 1e-12
 
     def test_five_cell_hand_computation(self):
@@ -105,7 +105,7 @@ class TestSimulate:
             flux_diff = _rusanov_flux_diff(state.u, cfg.u_left, cfg.u_right)
             predicted = (-dt / cfg.dx * np.sum(flux_diff)
                          + dt * np.sum(kstar - state.u)) * cfg.dx
-            new = cy.step(state, EXP1, cfg, conv, dt)
+            new = cy.step(state, cfg, conv, dt)
             change = np.sum(new.u - state.u) * cfg.dx
             assert abs(change - predicted) <= 10.0 * cfg.dx
             state = new
@@ -123,7 +123,7 @@ class TestSimulate:
         conv = FullLineConvolver(EXP1, state.x)
         for _ in range(5):
             dt = cy.stable_dt(state.u, cfg)
-            new = cy.step(state, EXP1, cfg, conv, dt)
+            new = cy.step(state, cfg, conv, dt)
             biggest = np.max(np.abs(new.u - state.u))
             cap = cfg.cfl * np.max(np.abs(state.u)) + dt * 2.0 * np.max(np.abs(state.u))
             assert biggest <= cap + 1e-12

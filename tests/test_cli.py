@@ -109,13 +109,15 @@ class TestSolveCommand:
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob
 
+        # an int-valued float key is recorded as the float its flag gives
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "kernel": "exp:k=1", "u_minus": 1.0, "u_plus": -1.0,
-            "grid_n": 256, "out_dir": str(out)}))
-        assert run(["solve", "--config", str(config)]) == 0
-        for name, blob in first.items():
-            assert (out / name).read_bytes() == blob
+        for u_minus in (1.0, 1):
+            config.write_text(json.dumps({
+                "kernel": "exp:k=1", "u_minus": u_minus, "u_plus": -1.0,
+                "grid_n": 256, "out_dir": str(out)}))
+            assert run(["solve", "--config", str(config)]) == 0
+            for name, blob in first.items():
+                assert (out / name).read_bytes() == blob
 
     def test_flags_override_config(self, tmp_path):
         config = tmp_path / "run.json"
@@ -127,6 +129,14 @@ class TestSolveCommand:
         assert code == 0
         assert (tmp_path / "b" / "profile.csv").exists()
         assert not (tmp_path / "a").exists()
+
+    def test_config_value_changed_by_flag_type_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"grid_n": 256.7,
+                                      "out_dir": str(tmp_path / "out")}))
+        assert run(["solve", "--config", str(config)]) == 1
+        assert "grid_n" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["bogus", "seed"])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
@@ -312,6 +322,16 @@ class TestKernelValidateCommand:
         assert set(payload["checks"]) >= {"evenness", "nonnegativity",
                                           "unit_mass", "monotone_decay",
                                           "finite_m2"}
+
+    def test_failed_finite_m2_is_written(self, tmp_path):
+        # m1 = m2 = 0: the report still says which check failed, and by what
+        table = tmp_path / "t.csv"
+        table.write_text("-1,0\n0,1\n1,0\n")
+        code = run(["kernel-validate", "--kernel", f"table:{table}:renorm",
+                    "--out-dir", str(tmp_path)])
+        assert code == 1
+        payload = json.loads((tmp_path / "kernel_validation.json").read_text())
+        assert payload["checks"]["finite_m2"] == {"passed": False, "worst": 0.0}
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         assert run(["kernel-validate", "--kernel", "exp:k=-1",

@@ -64,13 +64,13 @@ class TestOddConvolve:
     def test_zero_at_origin_exact(self):
         grid = cv.HalfLineGrid(30.0, 256)
         for ker in (kk.exponential_kernel(1.0), kk.gaussian_kernel(1.0)):
-            out = cv.odd_convolve(ker, iterate_like_field(grid))
+            out = cv.OddConvolver(ker, grid).apply(iterate_like_field(grid))
             assert out.values[-1] == 0.0
 
     def test_step_matches_closed_form(self):
         ker = kk.exponential_kernel(1.0)
         grid = cv.HalfLineGrid(30.0, 4096)
-        out = cv.odd_convolve(ker, step_field(grid)).values
+        out = cv.OddConvolver(ker, grid).apply(step_field(grid)).values
         exact = 1.0 - np.exp(grid.nodes())
         assert np.max(np.abs(out - exact)) <= 5e-4
 
@@ -78,14 +78,14 @@ class TestOddConvolve:
         ker = kk.exponential_kernel(1.0)
         for length in (30.0, 40.0):
             grid = cv.HalfLineGrid(length, 2048)
-            out = cv.odd_convolve(ker, iterate_like_field(grid, 0.7)).values
+            out = cv.OddConvolver(ker, grid).apply(iterate_like_field(grid, 0.7)).values
             assert abs(out[0] - 0.7) <= 1e-10
 
     def test_bounded_by_far_value(self):
         grid = cv.HalfLineGrid(35.0, 1024)
         for ker in (kk.exponential_kernel(1.0), kk.gaussian_kernel(1.0),
                     kk.triangular_kernel(1.0)):
-            out = cv.odd_convolve(ker, iterate_like_field(grid, 2.5)).values
+            out = cv.OddConvolver(ker, grid).apply(iterate_like_field(grid, 2.5)).values
             assert np.max(out) <= 2.5 + 1e-12
             assert np.min(out) >= 0.0
 
@@ -94,7 +94,7 @@ class TestOddConvolve:
         errs = {}
         for n in (2048, 4096):
             grid = cv.HalfLineGrid(30.0, n)
-            out = cv.odd_convolve(ker, iterate_like_field(grid)).values
+            out = cv.OddConvolver(ker, grid).apply(iterate_like_field(grid)).values
             errs[n] = np.max(np.abs(out - curved_closed_form(grid.nodes())))
         order = np.log2(errs[2048] / errs[4096])
         assert order >= 1.8
@@ -105,12 +105,13 @@ class TestOddConvolve:
 
     def test_rejects_inadmissible_fields(self):
         grid = cv.HalfLineGrid(30.0, 256)
+        plan = cv.OddConvolver(kk.exponential_kernel(1.0), grid)
         increasing = cv.HalfLineField(grid, np.linspace(0.1, 1.0, grid.n + 1), 1.0)
         with pytest.raises(cv.FieldError):
-            cv.odd_convolve(kk.exponential_kernel(1.0), increasing)
+            plan.apply(increasing)
         too_big = cv.HalfLineField(grid, np.full(grid.n + 1, 2.0), 1.0)
         with pytest.raises(cv.FieldError):
-            cv.odd_convolve(kk.exponential_kernel(1.0), too_big)
+            plan.apply(too_big)
 
 
 class TestFastVsDirect:
@@ -180,7 +181,7 @@ class TestBruteForce:
         ker = kk.exponential_kernel(1.0)
         grid = cv.HalfLineGrid(30.0, 1024)
         field = iterate_like_field(grid, 1.3)
-        out = cv.odd_convolve(ker, field, refine=8).values
+        out = cv.OddConvolver(ker, grid, 8).apply(field).values
         rng = np.random.default_rng(3)
         x = grid.nodes()
         for i in rng.integers(1, grid.n, 12):
@@ -209,7 +210,7 @@ class TestBruteForce:
         length = cv.snap_length(ker, 30.0, n, refine)
         grid = cv.HalfLineGrid(length, n)
         field = iterate_like_field(grid, 1.0)
-        out = cv.odd_convolve(ker, field, refine=refine).values
+        out = cv.OddConvolver(ker, grid, refine).apply(field).values
         x = grid.nodes()
         for i in (50, 256, 430, 505):
             oracle = cv.brute_force_convolve(ker, field, float(x[i]))
@@ -219,8 +220,8 @@ class TestBruteForce:
 class TestFullLine:
     def test_constants_are_exact(self):
         x = np.linspace(-40.0, 40.0, 2000)
-        out = cv.full_line_convolve(kk.exponential_kernel(1.0), x,
-                                    np.full(x.size, 3.0), 3.0, 3.0)
+        out = cv.FullLineConvolver(kk.exponential_kernel(1.0), x).apply(
+            np.full(x.size, 3.0), 3.0, 3.0)
         assert np.max(np.abs(out - 3.0)) <= 1e-12
 
     def test_step_closed_form_at_node(self):
@@ -228,19 +229,18 @@ class TestFullLine:
         x = np.linspace(-40.0, 40.0, 2001)
         u = np.where(x < 0.0, 1.0, -1.0)
         u[np.abs(x) < 1e-12] = 0.0
-        out = cv.full_line_convolve(kk.exponential_kernel(1.0), x, u, 1.0, -1.0)
+        out = cv.FullLineConvolver(kk.exponential_kernel(1.0), x).apply(u, 1.0, -1.0)
         i = np.argmin(np.abs(x + 1.0))
         assert out[i] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-4)
 
     def test_odd_data_vanishes_at_origin(self):
         x = np.linspace(-40.0, 40.0, 2001)
         u = np.clip(x, -40.0, 40.0)
-        out = cv.full_line_convolve(kk.gaussian_kernel(1.0), x, u, -40.0, 40.0)
+        out = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x).apply(u, -40.0, 40.0)
         i = np.argmin(np.abs(x))
         assert abs(out[i]) <= 1e-11
 
     def test_domain_too_short(self):
         x = np.linspace(-3.0, 3.0, 200)
         with pytest.raises(cv.GridKernelError):
-            cv.full_line_convolve(kk.exponential_kernel(1.0), x,
-                                  np.zeros(x.size), 0.0, 0.0)
+            cv.FullLineConvolver(kk.exponential_kernel(1.0), x)

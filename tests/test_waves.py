@@ -48,7 +48,7 @@ class TestSupersolution:
         # L and N chosen so x = -1 is a node
         grid = cv.HalfLineGrid(32.0, 4096)
         params = wv.WaveParams(1.0, -1.0)
-        out = cv.odd_convolve(EXP1, wv.supersolution(params, grid)).values
+        out = cv.OddConvolver(EXP1, grid).apply(wv.supersolution(params, grid)).values
         i = np.argmin(np.abs(grid.nodes() + 1.0))
         assert abs(grid.nodes()[i] + 1.0) <= 1e-12
         assert out[i] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-10)
@@ -92,6 +92,12 @@ class TestMarchInternals:
             want[i + 1] = r[i] * want[i] + b[i]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
+    def test_longdouble_wider_than_double(self):
+        # _scan keeps its running sum of cell decays in np.longdouble so the
+        # sum's rounding stays out of the block exponents; that only helps
+        # where longdouble carries more mantissa bits than float64
+        assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
     def test_advance_matches_ode_integration(self):
         # the product rule is exact for piecewise-linear u and g; a tight
         # ODE integration of the same interpolants is an independent check
@@ -120,7 +126,8 @@ class TestIterateOnce:
     def test_first_iterate_closed_form(self):
         grid = cv.HalfLineGrid(30.0, 4096)
         params = wv.WaveParams(1.0, -1.0)
-        u1 = wv.iterate_once(EXP1, wv.supersolution(params, grid), params)
+        u1 = wv.iterate_once(wv.supersolution(params, grid), params,
+                             cv.OddConvolver(EXP1, grid))
         exact = 1.0 - 0.5 * np.exp(grid.nodes())
         assert np.max(np.abs(u1.values - exact)) <= 5e-4
         assert u1.values[-1] == pytest.approx(0.5, abs=5e-4)
@@ -131,7 +138,7 @@ class TestIterateOnce:
         for ker in (EXP1, kk.gaussian_kernel(1.0), kk.triangular_kernel(1.0)):
             params = wv.WaveParams(1.25, -1.25)
             u0 = wv.supersolution(params, grid)
-            u1 = wv.iterate_once(ker, u0, params)
+            u1 = wv.iterate_once(u0, params, cv.OddConvolver(ker, grid))
             assert np.all(u1.values <= u0.values + 1e-12)
             assert np.all(np.diff(u1.values) <= 1e-12)
 
@@ -141,14 +148,15 @@ class TestIterateOnce:
         vals[100:] = 1e-13  # interior collapse
         bad = cv.HalfLineField(grid, vals, 1.0)
         with pytest.raises(wv.IterateCollapseError):
-            wv.iterate_once(EXP1, bad, wv.WaveParams(1.0, -1.0))
+            wv.iterate_once(bad, wv.WaveParams(1.0, -1.0), cv.OddConvolver(EXP1, grid))
 
     def test_zero_origin_sample_is_tolerated(self):
         grid = cv.HalfLineGrid(30.0, 256)
         vals = 1.0 - 0.5 * np.exp(grid.nodes())
         vals[-1] = 0.0
         field = cv.HalfLineField(grid, vals, 1.0)
-        out = wv.iterate_once(EXP1, field, wv.WaveParams(1.0, -1.0))
+        out = wv.iterate_once(field, wv.WaveParams(1.0, -1.0),
+                              cv.OddConvolver(EXP1, grid))
         assert np.all(np.isfinite(out.values))
         assert out.values[-1] >= 0.0
 
@@ -236,6 +244,15 @@ class TestClassification:
     def test_unconverged_is_indeterminate(self):
         rec = wv.classify_shock(EXP1, wv.WaveParams(1.0, -1.0), n=256, max_iter=3)
         assert rec.measured == "indeterminate"
+
+    def test_refinement_study_keeps_one_snapped_length(self):
+        # the N solve snaps L; the 2N and 4N solves and the record reuse it
+        ker = kk.uniform_kernel(1.0)
+        snapped = cv.snap_length(ker, 30.0, 256, 8)
+        assert snapped != 30.0
+        rec = wv.classify_shock(ker, wv.WaveParams(0.5, -0.5), n=256,
+                                length=30.0)
+        assert rec.length == rec.profile.grid.length == snapped
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from .convolve import (
     FieldError,
     FullLineConvolver,
     GridKernelError,
-    HalfLineField,
     HalfLineGrid,
     OddConvolver,
     brute_force_convolve,

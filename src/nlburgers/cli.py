@@ -85,14 +85,15 @@ def _flag_type(key: str, default):
 
 def _coerce(key: str, value, kind):
     """A config-file value as its flag's type; null stays None.  A value
-    the conversion would change (256.7 for an int key) is refused."""
+    the conversion would change (256.7 for an int key) is refused, and so
+    is a JSON boolean, which no key takes (float(true) == true)."""
     if value is None:
         return None
     try:
         coerced = kind(value)
     except (TypeError, ValueError):
         coerced = None
-    if coerced != value:
+    if isinstance(value, bool) or coerced != value:
         raise ValueError(f"config key {key!r}: {value!r} is not a {kind.__name__}")
     return coerced
 
@@ -327,10 +328,14 @@ SIMULATE_DEFAULTS = {
 
 def load_profile_csv(path):
     """(x, U) columns of a profile.csv; np.interp over them holds the end
-    values constant beyond the table."""
+    values constant beyond the table, and needs x strictly increasing."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns 'x,U'")
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: need at least two rows")
+    if not np.all(np.diff(data[:, 0]) > 0.0):
+        raise ValueError(f"{path}: x must be strictly increasing")
     return data[:, 0], data[:, 1]
 
 

@@ -46,7 +46,7 @@ class FieldError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# geometry and fields
+# geometry
 # ----------------------------------------------------------------------
 
 
@@ -71,36 +71,10 @@ class HalfLineGrid:
         # built as (i - N) h so the last node is exactly 0.0
         return (np.arange(self.n + 1) - self.n) * self.h
 
-
-@dataclass
-class HalfLineField:
-    """Samples u_i = u(x_i) with the constant ``far_value`` for x <= -L."""
-
-    grid: HalfLineGrid
-    values: np.ndarray
-    far_value: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n + 1,):
-            raise FieldError("need one sample per grid node")
-        if not np.all(np.isfinite(self.values)):
-            raise FieldError("field samples must be finite")
-
-    def check_admissible(self, tol: float = 1e-12):
-        """Positive, nonincreasing, bounded by the far-field constant.
-
-        The origin sample alone may be zero: on profiles without a
-        sub-shock it decays below the smallest positive float.
-        """
-        v = self.values
-        if np.min(v[:-1]) <= 0.0 or v[-1] < 0.0:
-            raise FieldError("admissible fields are positive")
-        if np.max(v) > self.far_value + tol:
-            raise FieldError("admissible fields do not exceed the far value")
-        if np.max(np.diff(v)) > tol:
-            raise FieldError("admissible fields are nonincreasing")
-        return self
+    def full_nodes(self) -> np.ndarray:
+        """The 2N+1 nodes of [-L, L]: nodes() and their mirror images."""
+        x = self.nodes()
+        return np.concatenate([x, -x[-2::-1]])
 
 
 def snap_length(kernel: Kernel, length: float, n: int,
@@ -203,6 +177,7 @@ class OddConvolver:
     # -- fast path ------------------------------------------------------
 
     def apply_values(self, values: np.ndarray, far_value: float) -> np.ndarray:
+        """K*u at the nodes for samples u_i = u(x_i), u = far_value on x <= -L."""
         g = self._weights * _fine_values(values - far_value, self.refine)
         ft = rfft(g, self._nfft)
         conv_t = irfft(ft * self._ft_kt, self._nfft)
@@ -214,18 +189,11 @@ class OddConvolver:
         out[-1] = 0.0  # odd function against an even kernel vanishes at 0
         return np.maximum(out, 0.0)
 
-    def apply(self, field: HalfLineField) -> HalfLineField:
-        if field.grid != self.grid:
-            raise FieldError("field lives on a different grid")
-        field.check_admissible()
-        out = self.apply_values(field.values, field.far_value)
-        return HalfLineField(self.grid, out, field.far_value)
-
     # -- reference path ---------------------------------------------------
 
-    def apply_direct(self, field: HalfLineField) -> np.ndarray:
+    def apply_direct(self, values: np.ndarray, far_value: float) -> np.ndarray:
         """Same sums by direct summation; the fast path must match this."""
-        g = self._weights * _fine_values(field.values - field.far_value, self.refine)
+        g = self._weights * _fine_values(values - far_value, self.refine)
         m, r = self._m, self.refine
         n = self.grid.n
         q = np.arange(m + 1)
@@ -236,7 +204,7 @@ class OddConvolver:
             t = self._kt[i[:, None] * r - q[None, :] + m]
             h = self._khr[2 * m - i[:, None] * r - q[None, :]]
             out[i] = (t - h) @ g
-        out += field.far_value * self._exact_row
+        out += far_value * self._exact_row
         out[-1] = 0.0
         return np.maximum(out, 0.0)
 
@@ -302,8 +270,9 @@ class FullLineConvolver:
 # ----------------------------------------------------------------------
 
 
-def brute_force_convolve(kernel: Kernel, field: HalfLineField, x: float,
-                         tol: float = 1e-11, max_levels: int = 24) -> float:
+def brute_force_convolve(kernel: Kernel, grid: HalfLineGrid, values: np.ndarray,
+                         far_value: float, x: float, tol: float = 1e-11,
+                         max_levels: int = 24) -> float:
     """Adaptive quadrature of the same odd-reflection integrand at one point.
 
     Used only as an independent test oracle: the integrand (kernel
@@ -313,7 +282,6 @@ def brute_force_convolve(kernel: Kernel, field: HalfLineField, x: float,
     extra segment edges.  The far-field tail is the same exact CDF term
     the grid path uses.
     """
-    grid = field.grid
     length = grid.length
     if not (-length <= x <= 0.0):
         raise ValueError("evaluation point must lie in [-L, 0]")
@@ -325,8 +293,6 @@ def brute_force_convolve(kernel: Kernel, field: HalfLineField, x: float,
                 edges.add(float(y_star))
     edges = np.array(sorted(edges))
 
-    values = field.values
-
     def integrand(y):
         u = np.interp(y, nodes, values)
         return (kernel.density(x - y) - kernel.density(x + y)) * u
@@ -334,4 +300,4 @@ def brute_force_convolve(kernel: Kernel, field: HalfLineField, x: float,
     integral = refine_segments(integrand, edges, rtol=0.0, atol=tol,
                                max_levels=max_levels)
     tail = 1.0 - kernel.cdf(x + length) - kernel.cdf(x - length)
-    return float(integral + field.far_value * tail)
+    return float(integral + far_value * tail)

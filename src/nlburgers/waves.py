@@ -35,7 +35,7 @@ from ._quad import trapezoid_weights
 from .convolve import (
     REFINE_DEFAULT,
     SOLVER_TAIL_TOL,
-    HalfLineField,
+    FieldError,
     HalfLineGrid,
     OddConvolver,
     snap_length,
@@ -57,6 +57,10 @@ JUMP_GRID_FACTOR = 10.0
 # subsolution search: probe count on [-L, 0) and the cap on eps halvings
 SUBSOLUTION_PROBES = 1024
 SUBSOLUTION_MAX_HALVINGS = 40
+
+#: (center, width) of the weak residual's smooth test functions; one
+#: straddles 0, and all must fit inside (-L, L)
+WEAK_BUMPS = ((-5.0, 3.0), (0.0, 2.0), (4.0, 3.0))
 
 
 class ParamsError(ValueError):
@@ -173,10 +177,7 @@ class WaveProfile:
 
     def full_line(self):
         """(x, U) on the symmetric grid of 2N+1 nodes."""
-        x_neg = self.grid.nodes()
-        x = np.concatenate([x_neg, -x_neg[-2::-1]])
-        u_odd = self.odd_component()
-        return x, self.params.s + u_odd
+        return self.grid.full_nodes(), self.params.s + self.odd_component()
 
     def odd_component(self) -> np.ndarray:
         """Odd extension of the wave component; 0 at the origin node."""
@@ -205,9 +206,9 @@ def _odd_extension(v: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def supersolution(params: WaveParams, grid: HalfLineGrid) -> HalfLineField:
+def supersolution(params: WaveParams, grid: HalfLineGrid) -> np.ndarray:
     """The step u_0 = u_c: the iteration always starts here."""
-    return HalfLineField(grid, np.full(grid.n + 1, params.u_c), params.u_c)
+    return np.full(grid.n + 1, params.u_c)
 
 
 def _g_profile(kernel: Kernel, u_c: float, eps: float, probes: np.ndarray):
@@ -343,30 +344,45 @@ def _scan(r: np.ndarray, b: np.ndarray, decay: np.ndarray, x0: float) -> np.ndar
     return out
 
 
-def iterate_once(current: HalfLineField, params: WaveParams,
-                 convolver: OddConvolver) -> HalfLineField:
-    """One sweep: solve w + u_n w' = K*u_n with w(-L) = u_c, where K*u_n
-    comes from ``convolver``, the plan for ``current``'s grid.
+def iterate_once(values: np.ndarray, params: WaveParams,
+                 convolver: OddConvolver) -> np.ndarray:
+    """One sweep on the plan's grid: the samples of u_{n+1} from those of
+    u_n, solving w + u_n w' = K*u_n with w(-L) = u_c and u_n = u_c on
+    x <= -L.
 
-    The positivity floor guards the interior nodes only: there the iterate
-    is pinned above the subsolution, so dropping below 1e-12 means the
-    scheme collapsed.  The origin sample is exempt because it decays to
-    zero geometrically on profiles without a sub-shock; the marching rule
-    never divides by it.
+    FieldError unless the samples are one per node, finite, positive, at
+    most u_c and nonincreasing.  The origin sample alone may be zero: on
+    profiles without a sub-shock it decays below the smallest positive
+    float, and the marching rule never divides by it.  The positivity
+    floor guards the interior nodes only: there the iterate is pinned
+    above the subsolution, so dropping below 1e-12 means the scheme
+    collapsed.
     """
-    current.check_admissible(INVARIANT_TOL)
-    interior_min = float(np.min(current.values[:-1]))
-    if interior_min < FLOOR_DELTA or current.values[-1] < 0.0:
+    grid = convolver.grid
+    u_c = params.u_c
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n + 1,):
+        raise FieldError("need one sample per grid node")
+    if not np.all(np.isfinite(values)):
+        raise FieldError("field samples must be finite")
+    interior_min = float(np.min(values[:-1]))
+    if interior_min <= 0.0 or values[-1] < 0.0:
+        raise FieldError("admissible fields are positive")
+    if np.max(values) > u_c + INVARIANT_TOL:
+        raise FieldError("admissible fields do not exceed u_c")
+    if np.max(np.diff(values)) > INVARIANT_TOL:
+        raise FieldError("admissible fields are nonincreasing")
+    if interior_min < FLOOR_DELTA:
         raise IterateCollapseError(
             f"iterate fell below the positivity floor {FLOOR_DELTA:.0e} "
-            f"(min interior sample {interior_min:.3e}, n={current.grid.n}, "
-            f"L={current.grid.length:.6g}); the scheme collapsed"
+            f"(min interior sample {interior_min:.3e}, n={grid.n}, "
+            f"L={grid.length:.6g}); the scheme collapsed"
         )
-    g = convolver.apply_values(current.values, current.far_value)
-    out = _advance(current.values, g, current.grid.h, params.u_c)
+    g = convolver.apply_values(values, u_c)
+    out = _advance(values, g, grid.h, u_c)
     if not np.all(np.isfinite(out)):
         raise SchemeInvariantError("non-finite intermediate in the sweep")
-    return HalfLineField(current.grid, out, params.u_c)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +430,11 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     u_c = params.u_c
 
     trace = IterationTrace()
-    current = supersolution(params, grid)
+    v = supersolution(params, grid)
     converged = False
     sup_diff = np.inf
     for _ in range(max_iter):
-        nxt = iterate_once(current, params, convolver)
-        v, w = current.values, nxt.values
+        w = iterate_once(v, params, convolver)
 
         mono = int(np.count_nonzero(w > v + INVARIANT_TOL))
         mono += int(np.count_nonzero(np.diff(w) > INVARIANT_TOL))
@@ -435,12 +450,12 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
                 f"sweep {trace.iterations}: {mono} monotonicity and "
                 f"{ordering} ordering violations above {INVARIANT_TOL:.0e}"
             )
-        current = nxt
+        v = w
         if sup_diff <= tol_iter:
             converged = True
             break
 
-    profile = WaveProfile(grid=grid, values=current.values.copy(), params=params,
+    profile = WaveProfile(grid=grid, values=v, params=params,
                           converged=converged, iterations=trace.iterations,
                           final_sup_diff=sup_diff)
     return profile, trace
@@ -551,11 +566,6 @@ def pointwise_residual(profile: WaveProfile, kernel: Kernel,
     return float(np.max(res[keep])), h
 
 
-def default_bumps():
-    """(center, width) of the smooth test functions; one straddles 0."""
-    return [(-5.0, 3.0), (0.0, 2.0), (4.0, 3.0)]
-
-
 def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
     t = (x - center) / width
     out = np.zeros_like(x)
@@ -565,9 +575,9 @@ def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
     return out
 
 
-def weak_residual(profile: WaveProfile, kernel: Kernel, bumps=None,
+def weak_residual(profile: WaveProfile, kernel: Kernel,
                   refine: int = REFINE_DEFAULT) -> float:
-    """max | int (U^2/2 - s U) phi' + (K*U - U) phi dx | over the bumps.
+    """max | int (U^2/2 - s U) phi' + (K*U - U) phi dx | over WEAK_BUMPS.
 
     phi' is taken as the centered difference of the sampled bump, so a
     constant state integrates to exactly zero (the sum telescopes).  The
@@ -577,14 +587,11 @@ def weak_residual(profile: WaveProfile, kernel: Kernel, bumps=None,
     """
     grid = profile.grid
     length, h = grid.length, grid.h
-    if bumps is None:
-        bumps = default_bumps()
-    for c, w in bumps:
+    for c, w in WEAK_BUMPS:
         if not (-length < c - w and c + w < length):
             raise ValueError(f"bump ({c}, {w}) not supported inside (-L, L)")
 
-    x_neg = grid.nodes()
-    x = np.concatenate([x_neg, -x_neg[-2::-1]])
+    x = grid.full_nodes()
     mag = profile.magnitude()
     quad = 0.5 * mag * mag - 0.5 * profile.params.s ** 2
 
@@ -594,7 +601,7 @@ def weak_residual(profile: WaveProfile, kernel: Kernel, bumps=None,
     weights = trapezoid_weights(x.size - 1, h)
 
     worst = 0.0
-    for c, w in bumps:
+    for c, w in WEAK_BUMPS:
         phi = _bump(x, c, w)
         dphi = np.zeros_like(phi)
         dphi[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * h)
@@ -635,8 +642,7 @@ def jump_identity(profile: WaveProfile, kernel: Kernel) -> float:
     u_c = profile.params.u_c
     r = min(kernel.radius(1e-13), grid.length)
 
-    x_neg = grid.nodes()
-    x_full = np.concatenate([x_neg, -x_neg[-2::-1]])
+    x_full = grid.full_nodes()
     u_full = profile.odd_component()
 
     y = np.linspace(-r, r, 8193)

@@ -131,12 +131,15 @@ class TestSolveCommand:
         assert not (tmp_path / "a").exists()
 
     def test_config_value_changed_by_flag_type_rejected(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"grid_n": 256.7,
-                                      "out_dir": str(tmp_path / "out")}))
-        assert run(["solve", "--config", str(config)]) == 1
-        assert "grid_n" in json.loads(capsys.readouterr().err)["message"]
-        assert not (tmp_path / "out").exists()
+        # JSON booleans pass float() and int() unchanged (float(True) == True)
+        cases = [("grid_n", 256.7), ("tol_iter", False), ("u_minus", True)]
+        for i, (key, value) in enumerate(cases):
+            config = tmp_path / f"run{i}.json"
+            config.write_text(json.dumps({key: value,
+                                          "out_dir": str(tmp_path / "out")}))
+            assert run(["solve", "--config", str(config)]) == 1
+            assert key in json.loads(capsys.readouterr().err)["message"]
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["bogus", "seed"])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
@@ -309,6 +312,19 @@ class TestSimulateCommand:
                     "--init-from", str(bad), "--out-dir", str(tmp_path)])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SimulationError"
+
+    @pytest.mark.parametrize("rows", ["1,1\n0,0.5\n-1,-1\n", "0,1\n0,1\n",
+                                      "0,1\n"], ids=["decreasing", "repeated", "one_row"])
+    def test_unordered_profile_table_rejected(self, tmp_path, capsys, rows):
+        # np.interp silently misreads a table whose x column is not increasing
+        table = tmp_path / "profile.csv"
+        table.write_text("x,U\n" + rows)
+        code = run(["simulate", "--kernel", "exp:k=1", "--u-left", "1",
+                    "--u-right", "-1", "--cells", "256", "--t-end", "1",
+                    "--init-from", str(table), "--out-dir", str(tmp_path / "sim")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not (tmp_path / "sim" / "diagnostics.json").exists()
 
 
 class TestKernelValidateCommand:

@@ -41,14 +41,15 @@ class TestSupersolution:
     def test_constant_at_half_amplitude(self, u_c):
         grid = cv.HalfLineGrid(30.0, 256)
         field = wv.supersolution(wv.WaveParams(u_c, -u_c), grid)
-        assert np.all(field.values == u_c)
-        field.check_admissible()
+        assert field.shape == (grid.n + 1,)
+        assert np.all(field == u_c)
 
     def test_convolved_supersolution_closed_form(self):
         # L and N chosen so x = -1 is a node
         grid = cv.HalfLineGrid(32.0, 4096)
         params = wv.WaveParams(1.0, -1.0)
-        out = cv.OddConvolver(EXP1, grid).apply(wv.supersolution(params, grid)).values
+        out = cv.OddConvolver(EXP1, grid).apply_values(
+            wv.supersolution(params, grid), params.u_c)
         i = np.argmin(np.abs(grid.nodes() + 1.0))
         assert abs(grid.nodes()[i] + 1.0) <= 1e-12
         assert out[i] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-10)
@@ -129,9 +130,9 @@ class TestIterateOnce:
         u1 = wv.iterate_once(wv.supersolution(params, grid), params,
                              cv.OddConvolver(EXP1, grid))
         exact = 1.0 - 0.5 * np.exp(grid.nodes())
-        assert np.max(np.abs(u1.values - exact)) <= 5e-4
-        assert u1.values[-1] == pytest.approx(0.5, abs=5e-4)
-        assert u1.values[0] == params.u_c  # imposed boundary value
+        assert np.max(np.abs(u1 - exact)) <= 5e-4
+        assert u1[-1] == pytest.approx(0.5, abs=5e-4)
+        assert u1[0] == params.u_c  # imposed boundary value
 
     def test_first_iterate_descends(self):
         grid = cv.HalfLineGrid(30.0, 1024)
@@ -139,26 +140,46 @@ class TestIterateOnce:
             params = wv.WaveParams(1.25, -1.25)
             u0 = wv.supersolution(params, grid)
             u1 = wv.iterate_once(u0, params, cv.OddConvolver(ker, grid))
-            assert np.all(u1.values <= u0.values + 1e-12)
-            assert np.all(np.diff(u1.values) <= 1e-12)
+            assert np.all(u1 <= u0 + 1e-12)
+            assert np.all(np.diff(u1) <= 1e-12)
 
     def test_interior_floor_guard(self):
         grid = cv.HalfLineGrid(30.0, 256)
         vals = np.full(grid.n + 1, 1.0)
         vals[100:] = 1e-13  # interior collapse
-        bad = cv.HalfLineField(grid, vals, 1.0)
         with pytest.raises(wv.IterateCollapseError):
-            wv.iterate_once(bad, wv.WaveParams(1.0, -1.0), cv.OddConvolver(EXP1, grid))
+            wv.iterate_once(vals, wv.WaveParams(1.0, -1.0), cv.OddConvolver(EXP1, grid))
 
     def test_zero_origin_sample_is_tolerated(self):
         grid = cv.HalfLineGrid(30.0, 256)
         vals = 1.0 - 0.5 * np.exp(grid.nodes())
         vals[-1] = 0.0
-        field = cv.HalfLineField(grid, vals, 1.0)
-        out = wv.iterate_once(field, wv.WaveParams(1.0, -1.0),
+        out = wv.iterate_once(vals, wv.WaveParams(1.0, -1.0),
                               cv.OddConvolver(EXP1, grid))
-        assert np.all(np.isfinite(out.values))
-        assert out.values[-1] >= 0.0
+        assert np.all(np.isfinite(out))
+        assert out[-1] >= 0.0
+
+    def test_rejects_inadmissible_fields(self):
+        # every sample check runs before the sweep, against the plan's grid
+        # and the far value u_c = 1
+        grid = cv.HalfLineGrid(30.0, 256)
+        plan = cv.OddConvolver(EXP1, grid)
+        params = wv.WaveParams(1.0, -1.0)
+        good = 1.0 - 0.5 * np.exp(grid.nodes())
+        non_finite = good.copy()
+        non_finite[7] = np.nan
+        non_positive = good.copy()
+        non_positive[7:] = 0.0
+        cases = {
+            "one sample per grid node": good[1:],
+            "finite": non_finite,
+            "positive": non_positive,
+            "do not exceed u_c": np.full(grid.n + 1, 1.0 + 2e-10),
+            "nonincreasing": np.linspace(0.1, 1.0, grid.n + 1),
+        }
+        for message, vals in cases.items():
+            with pytest.raises(cv.FieldError, match=message):
+                wv.iterate_once(vals, params, plan)
 
 
 class TestSolve:
@@ -291,9 +312,14 @@ class TestResiduals:
                               final_sup_diff=0.0)
         assert wv.weak_residual(flat, EXP1) <= 1e-15
 
-    def test_weak_residual_rejects_escaping_bumps(self, converged):
-        with pytest.raises(ValueError):
-            wv.weak_residual(converged, EXP1, bumps=[(0.0, 100.0)])
+    def test_weak_residual_rejects_escaping_bumps(self):
+        # the bump (4, 3) reaches x = 7, outside a domain of half-length 6
+        grid = cv.HalfLineGrid(6.0, 64)
+        short = wv.WaveProfile(grid=grid, values=np.full(grid.n + 1, 0.5),
+                               params=wv.WaveParams(1.0, -1.0), converged=False,
+                               iterations=0, final_sup_diff=np.inf)
+        with pytest.raises(ValueError, match="not supported"):
+            wv.weak_residual(short, EXP1)
 
     def test_flux_balance_small(self, converged):
         assert wv.flux_balance(converged, EXP1) <= 1e-4

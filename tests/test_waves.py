@@ -1,5 +1,7 @@
 """The monotone iteration: oracles, invariants, classification, residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,35 @@ from nlburgers import kernels as kk
 from nlburgers import waves as wv
 
 EXP1 = kk.exponential_kernel(1.0)
+
+
+def dense_g_profile(kernel, u_c, eps, probes):
+    """g on the probes and its x -> 0 limit by the dense z-sum: 8193
+    trapezoid nodes on [-r, r], each increment formed for every probe.
+    The oracle for waves._g_profile."""
+    r = kernel.radius(1e-13)
+    z = np.linspace(-r, r, 8193)
+    kz = kernel.density(z) * (z[1] - z[0])
+    kz[[0, -1]] *= 0.5
+    num = np.empty(probes.size)
+    for i0 in range(0, probes.size, 256):
+        x = probes[i0:i0 + 256, None]
+        diff = np.arctan(eps * (x - z[None, :])) - np.arctan(eps * x)
+        num[i0:i0 + 256] = -(diff @ kz)
+    den = (2.0 * u_c / np.pi) * np.arctan(eps * probes) * eps / (1.0 + (eps * probes) ** 2)
+    limit = (np.pi * eps / (2.0 * u_c)) * float(np.sum(z * z * kz / (1.0 + (eps * z) ** 2)))
+    return num / den, limit
+
+
+def certificate_inputs(kernel, rho, n):
+    """(u_c, eps_0, probes, g, g_limit) on the grid solve_wave would use
+    for amplitude rho 4 M1 at n nodes, at the starting candidate eps."""
+    amplitude = rho * 4.0 * kernel.m1
+    params = wv.WaveParams(0.5 * amplitude, -0.5 * amplitude)
+    quad = wv._z_quadrature(kernel, wv.default_length(kernel, params, n))
+    eps = params.u_c / (np.pi * kernel.m2)
+    g, g_limit = wv._g_profile(quad, params.u_c, eps)
+    return params.u_c, eps, quad[0], g, g_limit
 
 
 class TestParams:
@@ -76,6 +107,73 @@ class TestSubsolution:
         x_far = -1e6
         val = (2.0 * params.u_c / np.pi) * np.arctan(-spec.epsilon * x_far)
         assert abs(val - params.u_c) <= 2.0 * params.u_c / (np.pi * spec.epsilon * 1e6)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("rho", [0.25, 1.1, 1.5, 4.0])
+    def test_uniform_matches_closed_form(self, rho, n):
+        # int K(z) arctan(eps (x - z)) dz = (F(eps (x + a)) - F(eps (x - a)))
+        # / (2 a eps), F(u) = u arctan u - log1p(u^2)/2; the density jumps
+        # at +-a, where the end cells must carry its full mass
+        a = 1.0
+        u_c, eps, x, g, _ = certificate_inputs(kk.uniform_kernel(a), rho, n)
+
+        def big_f(u):
+            return u * np.arctan(u) - 0.5 * np.log1p(u * u)
+
+        conv = (big_f(eps * (x + a)) - big_f(eps * (x - a))) / (2.0 * a * eps)
+        den = (2.0 * u_c / np.pi) * np.arctan(eps * x) * eps / (1.0 + (eps * x) ** 2)
+        assert np.max(np.abs(g - (np.arctan(eps * x) - conv) / den)) <= 1e-7
+
+    @pytest.mark.parametrize("rho", [1.1, 4.0])
+    @pytest.mark.parametrize(
+        "kernel",
+        [EXP1, kk.exponential_kernel(0.5), kk.gaussian_kernel(1.0),
+         kk.triangular_kernel(1.0)],
+        ids=["exp:k=1", "exp:k=0.5", "gauss:sigma=1", "tri:a=1"])
+    def test_matches_dense_oracle(self, kernel, rho):
+        u_c, eps, x, g, g_limit = certificate_inputs(kernel, rho, 512)
+        g_dense, limit_dense = dense_g_profile(kernel, u_c, eps, x)
+        assert abs(float(np.max(g)) - float(np.max(g_dense))) <= 1e-9
+        assert abs(g_limit - limit_dense) <= 1e-9
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 4e-3])
+    def test_small_amplitude_keeps_the_limit(self, amplitude):
+        # eps L is a few 1e-3: near x = 0 the increment is a ~1e-14
+        # difference of arctans, and g must still reach its closed-form limit
+        params = wv.WaveParams(0.5 * amplitude, -0.5 * amplitude)
+        grid = cv.HalfLineGrid(wv.default_length(EXP1, params, 4096), 4096)
+        spec = wv.subsolution(params, EXP1, grid)
+        assert abs(spec.g_sup - spec.g_limit) <= 1e-7
+
+    def test_large_amplitude_matches_dense_oracle(self):
+        # u_c = 1000: eps L ~ 4e6, arctan saturates over most of the domain
+        u_c, eps, x, g, _ = certificate_inputs(EXP1, 500.0, 1024)
+        assert u_c == pytest.approx(1000.0)
+        g_dense, _ = dense_g_profile(EXP1, u_c, eps, x)
+        assert float(np.max(g)) == pytest.approx(float(np.max(g_dense)), rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["bimodal_table", "uniform_u_c_1000"])
+    def test_memory_bounded_on_long_domains(self, case):
+        if case == "bimodal_table":
+            # triangular peaks at +-2 of half-width 0.5: L = 1250, and the
+            # probe spacing holds ~1667 z steps
+            y = np.linspace(-3.0, 3.0, 61)
+            kernel = kk.tabulated_kernel(
+                y, np.maximum(1.0 - np.abs(np.abs(y) - 2.0) / 0.5, 0.0),
+                renormalize=True)
+            params, n = wv.WaveParams(50.0, -50.0), 512
+        else:
+            # L = 25000: the probe windows [x - 1, x + 1] do not overlap
+            kernel = kk.uniform_kernel(1.0)
+            params, n = wv.WaveParams(1000.0, -1000.0), 1024
+        grid = cv.HalfLineGrid(wv.default_length(kernel, params, n), n)
+        tracemalloc.start()
+        try:
+            wv.subsolution(params, kernel, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestMarchInternals:
@@ -224,6 +322,21 @@ class TestSolve:
         p2, _ = wv.solve_wave(EXP1, wv.WaveParams(a + c, -a + c), n=512)
         assert np.max(np.abs(p1.values - p2.values)) <= 1e-12
         assert (p2.params.s - p1.params.s) == c
+
+    def test_iterate_below_subsolution_is_fatal(self, monkeypatch):
+        # the per-sweep ordering check is the only consumer of the
+        # subsolution samples; a barrier at u_c must trip it on sweep 1
+        certify = wv.subsolution
+
+        def barrier_at_u_c(params, kernel, grid):
+            spec = certify(params, kernel, grid)
+            spec.samples = np.full(grid.n + 1, params.u_c)
+            return spec
+
+        monkeypatch.setattr(wv, "subsolution", barrier_at_u_c)
+        with pytest.raises(wv.SchemeInvariantError,
+                           match=r"sweep 1: 0 monotonicity and [1-9]\d* ordering"):
+            wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
 
     def test_sup_diffs_are_nonincreasing(self):
         _, trace = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)

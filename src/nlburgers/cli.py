@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import os
 import sys
@@ -473,24 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _retain_freed_heap():
-    """Keep freed heap memory mapped for the rest of this process (glibc).
-
-    A solve at n=4096 frees about 7 MB of FFT temporaries per sweep.  With
-    glibc's default thresholds that memory returns to the OS and faults back
-    in on the next sweep: 100k minor faults for one CLI solve, 14k with
-    these settings.  Other C libraries lack mallopt; nothing changes there.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD: heap-allocate below 32 MiB
-    mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD: keep up to 128 MiB free
-
-
 def main(argv=None) -> int:
-    _retain_freed_heap()
     args = build_parser().parse_args(argv)
     defaults, handler, _ = COMMANDS[args.command]
     try:

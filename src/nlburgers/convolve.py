@@ -13,9 +13,13 @@ Two geometries are supported:
 Quadrature is composite trapezoid on a uniformly refined copy of the grid
 (the field is interpolated linearly onto the fine grid), which keeps every
 quadrature weight nonnegative; monotone comparison of fields is therefore
-inherited exactly by the discrete operator.  Direct O(N^2) summation is the
-reference; an FFT evaluation of the same sums is the default fast path and
-must match the reference to 1e-10 (enforced in the test suite).
+inherited exactly by the discrete operator.  On the half line the field
+is linear between coarse nodes, so the fine-grid sum is evaluated exactly
+on the coarse nodes by product integration: each coarse sample multiplies
+a hat-weighted column of fine kernel samples.  Both geometries then reduce
+to one Toeplitz correlation, evaluated by a real FFT padded to 2M+1
+points.  Direct summation on the fine grid is the reference and must
+match the fast path to 1e-10 (enforced in the test suite).
 """
 
 from __future__ import annotations
@@ -104,8 +108,36 @@ def snap_length(kernel: Kernel, length: float, n: int,
 
 
 # ----------------------------------------------------------------------
-# fine-grid plumbing
+# Toeplitz correlation and fine-grid plumbing
 # ----------------------------------------------------------------------
+
+
+class _Toeplitz:
+    """y_i = sum_j c[M + i - j] v_j for i, j = 0..M, from a generator c of
+    length 2M + 1.
+
+    Every index M + i - j lies in [0, 2M], so a circular convolution of at
+    least 2M + 1 points never wraps around; the FFT length is the next
+    fast one.
+    """
+
+    def __init__(self, generator: np.ndarray):
+        self._m = (generator.size - 1) // 2
+        self.nfft = next_fast_len(generator.size, real=True)
+        self._ft = rfft(generator, self.nfft)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        m = self._m
+        return irfft(rfft(v, self.nfft) * self._ft, self.nfft)[m:2 * m + 1]
+
+
+def _columns(samples: np.ndarray, weights: np.ndarray, starts, stride: int,
+             count: int) -> np.ndarray:
+    """sum_t weights[t] samples[starts[t] + s stride] for s = 0..count-1."""
+    out = np.zeros(count)
+    for w, start in zip(weights, starts):
+        out += w * samples[start::stride][:count]
+    return out
 
 
 def _fine_values(values: np.ndarray, refine: int) -> np.ndarray:
@@ -138,8 +170,19 @@ class OddConvolver:
     wave solver's ordering invariants rely on; plain trapezoid of the full
     integrand would overshoot u_c by O(h^2).
 
-    The two kernel-sample matrices are Toeplitz / Hankel, so both sums
-    reduce to a single FFT of the weighted deviation per application.
+    The interpolated deviation is sum_j d_j phi_j with d_j = u_j - u_c and
+    phi_j the hat of node j, so the fine sum is a coarse one (product
+    integration).  With k = -(r-1)..r-1 over one hat and h_f = h / r,
+
+    sum_q w_q K(x_i - y_q) phi_j(y_q) = A_{i-j},
+        A_D = sum_k h_f (1 - |k|/r) K((D r - k) h_f)             (Toeplitz)
+    sum_q w_q K(x_i + y_q) phi_j(y_q) = B_{i+j},
+        B_S = sum_k h_f (1 - |k|/r) K(-2L + (S r + k) h_f)       (Hankel)
+
+    for interior j.  The half hats at j = 0 and j = N carry the trapezoid
+    end weight h_f / 2; their exact columns replace A and B there.  The
+    kernel is sampled at integer multiples of h_f only, and each sum is
+    one Toeplitz correlation of N + 1 coarse values.
     """
 
     def __init__(self, kernel: Kernel, grid: HalfLineGrid,
@@ -159,50 +202,62 @@ class OddConvolver:
         n, r = grid.n, self.refine
         m = n * r
         hf = grid.h / r
-        self._m = m
-        # K((p - m) hf) for p = 0..2m: Toeplitz generator K(x_i - y_q)
-        self._kt = kernel.density((np.arange(2 * m + 1) - m) * hf)
-        # K(-2L + p hf) reversed: Hankel generator K(x_i + y_q)
-        kh = kernel.density(-2.0 * grid.length + np.arange(2 * m + 1) * hf)
-        self._khr = kh[::-1].copy()
-        self._weights = trapezoid_weights(m, hf)
+        # K(p hf) and K(-2L + (p + m) hf) for p = -(m+r-1)..m+r-1: every
+        # fine offset x_i -/+ y_q that a hat reaches
+        p = np.arange(-(m + r - 1), m + r)
+        kt = kernel.density(p * hf)
+        kh = kernel.density(-2.0 * grid.length + (p + m) * hf)
+        hat = hf * (1.0 - np.abs(np.arange(1 - r, r)) / r)
+        self._toeplitz = _Toeplitz(_columns(kt, hat, range(2 * r - 1), r, 2 * n + 1))
+        self._hankel = _Toeplitz(_columns(kh, hat, range(2 * r - 1), r, 2 * n + 1))
+        self._nfft = self._toeplitz.nfft   # plan size, read by benchmark tracing
+
+        # half hats at j = 0 (fine k = 0..r-1) and j = N (k = -(r-1)..0)
+        end = hat[r - 1:].copy()
+        end[0] *= 0.5
+        # row i = 0 reads kt[far], kh[near] for node 0 and kt[near], kh[far]
+        # for node N; each further row moves r samples on
+        near = r - 1 + np.arange(r)
+        far = m + r - 1 - np.arange(r)
+        self._end0 = (_columns(kt, end, far, r, n + 1)
+                      - _columns(kh, end, near, r, n + 1))
+        self._endn = (_columns(kt, end, near, r, n + 1)
+                      - _columns(kh, end, far, r, n + 1))
 
         # exact row integral: int_{-inf}^{inf} [K(x-y) - K(x+y)] 1_{y<0} dy
         self._exact_row = 1.0 - 2.0 * kernel.cdf(grid.nodes())
-
-        self._nfft = next_fast_len(3 * m + 1, real=True)
-        self._ft_kt = rfft(self._kt, self._nfft)
-        self._ft_khr = rfft(self._khr, self._nfft)
 
     # -- fast path ------------------------------------------------------
 
     def apply_values(self, values: np.ndarray, far_value: float) -> np.ndarray:
         """K*u at the nodes for samples u_i = u(x_i), u = far_value on x <= -L."""
-        g = self._weights * _fine_values(values - far_value, self.refine)
-        ft = rfft(g, self._nfft)
-        conv_t = irfft(ft * self._ft_kt, self._nfft)
-        conv_h = irfft(ft * self._ft_khr, self._nfft)
-        m, r = self._m, self.refine
-        idx = np.arange(self.grid.n + 1)
-        out = conv_t[m + idx * r] - conv_h[2 * m - idx * r]
-        out += far_value * self._exact_row
+        d = values - far_value
+        d0, dn = d[0], d[-1]
+        d[0] = d[-1] = 0.0
+        out = self._toeplitz(d) - self._hankel(d[::-1])
+        out += d0 * self._end0 + dn * self._endn + far_value * self._exact_row
         out[-1] = 0.0  # odd function against an even kernel vanishes at 0
         return np.maximum(out, 0.0)
 
     # -- reference path ---------------------------------------------------
 
     def apply_direct(self, values: np.ndarray, far_value: float) -> np.ndarray:
-        """Same sums by direct summation; the fast path must match this."""
-        g = self._weights * _fine_values(values - far_value, self.refine)
-        m, r = self._m, self.refine
-        n = self.grid.n
+        """The fine-grid trapezoid sums by direct summation; the fast path
+        must match this."""
+        n, r = self.grid.n, self.refine
+        m = n * r
+        hf = self.grid.h / r
+        p = np.arange(2 * m + 1)
+        kt = self.kernel.density((p - m) * hf)   # K(x_i - y_q) at p = m + i r - q
+        khr = self.kernel.density(-2.0 * self.grid.length + p * hf)[::-1]
+        g = trapezoid_weights(m, hf) * _fine_values(values - far_value, r)
         q = np.arange(m + 1)
         out = np.empty(n + 1)
         chunk = 64
         for i0 in range(0, n + 1, chunk):
             i = np.arange(i0, min(i0 + chunk, n + 1))
-            t = self._kt[i[:, None] * r - q[None, :] + m]
-            h = self._khr[2 * m - i[:, None] * r - q[None, :]]
+            t = kt[i[:, None] * r - q[None, :] + m]
+            h = khr[2 * m - i[:, None] * r - q[None, :]]
             out[i] = (t - h) @ g
         out += far_value * self._exact_row
         out[-1] = 0.0
@@ -238,29 +293,21 @@ class FullLineConvolver:
         self.kernel = kernel
         self.x = x
 
-        npts = x.size
-        m = npts - 1
-        self._m = m
-        self._kt = kernel.density((np.arange(2 * m + 1) - m) * dx[0])
+        m = x.size - 1
         self._weights = trapezoid_weights(m, dx[0])
-        self._nfft = next_fast_len(3 * m + 1, real=True)
-        self._ft_kt = rfft(self._kt, self._nfft)
+        self._toeplitz = _Toeplitz(kernel.density((np.arange(2 * m + 1) - m) * dx[0]))
+        self._nfft = self._toeplitz.nfft   # plan size, read by benchmark tracing
 
         self._tail_left = 1.0 - kernel.cdf(x - x[0])
         self._tail_right = kernel.cdf(x - x[-1])
-        row = self._correlate(np.ones(npts))
+        row = self._toeplitz(self._weights)
         self._row = row + self._tail_left + self._tail_right
-
-    def _correlate(self, values: np.ndarray) -> np.ndarray:
-        g = self._weights * values
-        conv = irfft(rfft(g, self._nfft) * self._ft_kt, self._nfft)
-        return conv[self._m:self._m + self.x.size]
 
     def apply(self, values: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape != self.x.shape:
             raise FieldError("need one sample per node")
-        out = self._correlate(values)
+        out = self._toeplitz(self._weights * values)
         out += u_left * self._tail_left + u_right * self._tail_right
         return out / self._row
 

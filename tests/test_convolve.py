@@ -1,9 +1,12 @@
 """Half-line and full-line convolutions against closed forms and the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from nlburgers import convolve as cv
 from nlburgers import kernels as kk
@@ -101,6 +104,20 @@ class TestOddConvolve:
         order = np.log2(errs[2048] / errs[4096])
         assert order >= 1.8
 
+    def test_warm_apply_memory(self):
+        # a warm apply holds only coarse arrays: no fine-grid field or FFT
+        grid = cv.HalfLineGrid(30.0, 4096)
+        plan = cv.OddConvolver(kk.exponential_kernel(1.0), grid, 8)
+        vals = iterate_like_field(grid)
+        plan.apply_values(vals, 1.0)
+        tracemalloc.start()
+        try:
+            plan.apply_values(vals, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
     def test_tail_precondition(self):
         with pytest.raises(cv.GridKernelError):
             cv.OddConvolver(kk.exponential_kernel(1.0), cv.HalfLineGrid(20.0, 256))
@@ -114,18 +131,34 @@ class TestFastVsDirect:
         kk.triangular_kernel(1.0),
     ], ids=lambda k: k.family)
     def test_agreement(self, ker):
-        n, refine = 512, 4
-        length = cv.snap_length(ker, 30.0, n, refine)
-        grid = cv.HalfLineGrid(length, n)
-        plan = cv.OddConvolver(ker, grid, refine)
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            drops = rng.uniform(0.0, 1.0, grid.n + 1)
-            vals = 1.0 + np.concatenate(([0.0], np.cumsum(-drops[1:])))
-            vals = 2.5 * (vals - vals[-1] + 0.01) / (vals[0] - vals[-1] + 0.01)
-            fast = plan.apply_values(vals, vals[0])
-            direct = plan.apply_direct(vals, vals[0])
+        for n, refine in ((512, 4), (1024, 8)):
+            length = cv.snap_length(ker, 30.0, n, refine)
+            grid = cv.HalfLineGrid(length, n)
+            plan = cv.OddConvolver(ker, grid, refine)
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                drops = rng.uniform(0.0, 1.0, grid.n + 1)
+                vals = 1.0 + np.concatenate(([0.0], np.cumsum(-drops[1:])))
+                vals = 2.5 * (vals - vals[-1] + 0.01) / (vals[0] - vals[-1] + 0.01)
+                fast = plan.apply_values(vals, vals[0])
+                direct = plan.apply_direct(vals, vals[0])
+                assert np.max(np.abs(fast - direct)) <= 1e-10
+            # a far value above the first sample gives the node at -L a
+            # nonzero deviation, so its half-hat column carries weight
+            fast = plan.apply_values(vals, vals[0] + 0.75)
+            direct = plan.apply_direct(vals, vals[0] + 0.75)
             assert np.max(np.abs(fast - direct)) <= 1e-10
+
+
+class TestToeplitz:
+    @pytest.mark.parametrize("m", [1, 64, 257])
+    def test_matches_dense_product(self, m):
+        # a generator that does not decay: any wrap-around would show
+        rng = np.random.default_rng(m)
+        c = rng.uniform(-1.0, 1.0, 2 * m + 1)
+        v = rng.uniform(-1.0, 1.0, m + 1)
+        dense = toeplitz(c[m:], c[m::-1]) @ v   # entry (i, j) is c[m + i - j]
+        np.testing.assert_allclose(cv._Toeplitz(c)(v), dense, rtol=0, atol=1e-12)
 
 
 class TestSignAndComparison:
@@ -227,6 +260,25 @@ class TestFullLine:
         out = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x).apply(u, -40.0, 40.0)
         i = np.argmin(np.abs(x))
         assert abs(out[i]) <= 1e-11
+
+    @pytest.mark.parametrize("ker", [kk.exponential_kernel(1.0),
+                                     kk.uniform_kernel(1.0)], ids=lambda k: k.family)
+    def test_matches_direct_sum(self, ker):
+        x = np.linspace(-40.0, 40.0, 1201)
+        u = np.tanh(x) + 0.3 * np.sin(x)
+        u_left, u_right = -0.8, 1.2
+        dx = x[1] - x[0]
+        w = np.full(x.size, dx)
+        w[0] = w[-1] = 0.5 * dx
+        # kernel samples at integer offsets (i - j) dx, as the plan takes them
+        idx = np.arange(x.size)
+        dens = ker.density(np.subtract.outer(idx, idx) * dx) * w
+        tail_left = 1.0 - ker.cdf(x - x[0])
+        tail_right = ker.cdf(x - x[-1])
+        direct = ((dens @ u + u_left * tail_left + u_right * tail_right)
+                  / (dens.sum(axis=1) + tail_left + tail_right))
+        out = cv.FullLineConvolver(ker, x).apply(u, u_left, u_right)
+        np.testing.assert_allclose(out, direct, rtol=0, atol=1e-10)
 
     def test_domain_too_short(self):
         x = np.linspace(-3.0, 3.0, 200)

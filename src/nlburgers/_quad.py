@@ -17,7 +17,7 @@ import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Refinement failed to converge within the level budget."""
+    """Refinement failed to converge, or the integrand gave a non-finite sum."""
 
 
 def trapezoid_weights(m: int, h: float) -> np.ndarray:
@@ -32,7 +32,8 @@ def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24):
 
     All segments are halved in lockstep; the total at each level feeds a
     Romberg table whose diagonal is the returned estimate.  Convergence is
-    declared when two successive diagonal entries agree to rtol/atol.
+    declared when two successive diagonal entries agree to rtol/atol.  A
+    non-finite total raises at once: refining cannot make it finite.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -56,6 +57,8 @@ def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24):
         mids = left[:, None] + offs
         fm = f(mids.ravel()).reshape(mids.shape)
         total = float(np.sum(step * np.sum(fm, axis=1)))
+        if not np.isfinite(total):
+            raise QuadratureError(f"non-finite sum {total!r} at level {level}")
         npts *= 2
 
         # Romberg: R[l][k] = R[l][k-1] + (R[l][k-1] - R[l-1][k-1]) / (4^k - 1)

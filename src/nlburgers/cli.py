@@ -34,12 +34,13 @@ EXIT_INDETERMINATE = 2
 
 def parse_kernel_spec(spec: str) -> kernels.Kernel:
     """Build a kernel from 'exp:k=1', 'gauss:sigma=1', 'uniform:a=1',
-    'tri:a=1' or 'table:path.csv[:renorm]'."""
+    'tri:a=1' or 'table:path.csv[:renorm]'; kernels.SPELLINGS and
+    kernels.TABLE_SPELLINGS hold every family spelling."""
     family, sep, rest = spec.partition(":")
     family = family.strip().lower()
     if not sep:
         raise kernels.KernelError(f"kernel spec {spec!r} lacks parameters")
-    if family in ("table", "tabulated"):
+    if family in kernels.TABLE_SPELLINGS:
         renorm = rest.endswith(":renorm")
         path = rest[: -len(":renorm")] if renorm else rest
         y, k = kernels.read_kernel_table(path)
@@ -51,17 +52,14 @@ def parse_kernel_spec(spec: str) -> kernels.Kernel:
         param = float(value)
     except ValueError as exc:
         raise kernels.KernelError(f"kernel spec {spec!r}: bad number {value!r}") from exc
-    expected = {"exp": "k", "exponential": "k", "gauss": "sigma",
-                "gaussian": "sigma", "uniform": "a", "tri": "a",
-                "triangular": "a"}
-    if family not in expected:
+    if family not in kernels.SPELLINGS:
         raise kernels.KernelError(f"unknown kernel family {family!r}")
-    if name.strip() != expected[family]:
+    expected = kernels.SPELLINGS[family][1]
+    if name.strip() != expected:
         raise kernels.KernelError(
-            f"kernel spec {spec!r}: family {family!r} takes parameter "
-            f"{expected[family]!r}"
+            f"kernel spec {spec!r}: family {family!r} takes parameter {expected!r}"
         )
-    return kernels.build_kernel(family, **{expected[family]: param})
+    return kernels.build_kernel(family, **{expected: param})
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +125,10 @@ def _error_json(exc: BaseException):
     sys.stderr.write("\n")
 
 
-def _float_list(text: str):
-    items = [t for t in text.split(",") if t.strip()]
-    return [float(t) for t in items]
+def _solver_options(cfg: dict) -> dict:
+    """The grid and iteration keywords of solve_wave and classify_shock."""
+    return {"n": cfg["grid_n"], "refine": cfg["refine"],
+            "tol_iter": cfg["tol_iter"], "max_iter": cfg["max_iter"]}
 
 
 def _residuals(profile, kernel, refine: int) -> dict:
@@ -161,11 +160,8 @@ SOLVE_DEFAULTS = {
 def cmd_solve(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     params = waves.WaveParams(cfg["u_minus"], cfg["u_plus"])
-    profile, trace = waves.solve_wave(
-        kernel, params, length=cfg["length"], n=int(cfg["grid_n"]),
-        tol_iter=cfg["tol_iter"], max_iter=int(cfg["max_iter"]),
-        refine=int(cfg["refine"]),
-    )
+    profile, trace = waves.solve_wave(kernel, params, length=cfg["length"],
+                                      **_solver_options(cfg))
     meta = {
         "config": cfg,
         "kernel": cfg["kernel"],
@@ -180,11 +176,12 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         "jump": profile.jump,
         "classification": profile.classification,
         "converged": profile.converged,
-        "residuals": _residuals(profile, kernel, int(cfg["refine"])),
+        "residuals": _residuals(profile, kernel, cfg["refine"]),
     }
+    # the JSON first: a non-finite value then leaves no file behind
+    _write_json(meta, out / "profile.meta.json")
     waves.write_profile_csv(profile, out / "profile.csv")
     waves.write_trace_csv(trace, out / "trace.csv")
-    _write_json(meta, out / "profile.meta.json")
     return EXIT_OK if profile.converged else EXIT_INDETERMINATE
 
 
@@ -198,11 +195,8 @@ CLASSIFY_DEFAULTS = {**SOLVE_DEFAULTS, "grid_n": 1024}
 def cmd_classify(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     params = waves.WaveParams(cfg["u_minus"], cfg["u_plus"])
-    record = waves.classify_shock(
-        kernel, params, n=int(cfg["grid_n"]), length=cfg["length"],
-        tol_iter=cfg["tol_iter"], max_iter=int(cfg["max_iter"]),
-        refine=int(cfg["refine"]),
-    )
+    record = waves.classify_shock(kernel, params, length=cfg["length"],
+                                  **_solver_options(cfg))
     payload = {
         "config": cfg,
         "predicted_by_theorem": record.predicted_by_theorem,
@@ -242,15 +236,15 @@ SWEEP_COLUMNS = ["kernel", "amplitude", "status", "classification",
 
 
 def _sweep_cell(task):
-    spec, amplitude, center, grid_n, refine, tol_iter, max_iter = task
+    spec, amplitude, cfg = task
     row = {"kernel": spec, "amplitude": repr(amplitude)}
     try:
         kernel = parse_kernel_spec(spec)
+        center = cfg["center"]
         params = waves.WaveParams(center + 0.5 * amplitude, center - 0.5 * amplitude)
-        record = waves.classify_shock(kernel, params, n=grid_n, refine=refine,
-                                      tol_iter=tol_iter, max_iter=max_iter)
+        record = waves.classify_shock(kernel, params, **_solver_options(cfg))
         profile = record.profile
-        res = _residuals(profile, kernel, refine)
+        res = _residuals(profile, kernel, cfg["refine"])
         row.update({
             "status": "ok",
             "classification": record.measured,
@@ -270,7 +264,7 @@ def _sweep_cell(task):
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
-    workers = int(cfg["workers"])
+    workers = cfg["workers"]
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     specs = [s.strip() for s in cfg["kernels"].split(";") if s.strip()]
@@ -278,15 +272,13 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         lo, hi, count = cfg["amp_log"].split(":")
         amplitudes = [float(a) for a in np.geomspace(float(lo), float(hi), int(count))]
     else:
-        amplitudes = _float_list(cfg["amplitudes"])
+        amplitudes = [float(t) for t in cfg["amplitudes"].split(",") if t.strip()]
     if not specs or not amplitudes:
         raise ValueError("sweep needs at least one kernel and one amplitude")
     if len(specs) * len(amplitudes) > 10_000:
         raise ValueError("sweep grid exceeds 10000 cells")
 
-    tasks = [(spec, amp, cfg["center"], int(cfg["grid_n"]), int(cfg["refine"]),
-              cfg["tol_iter"], int(cfg["max_iter"]))
-             for spec in specs for amp in amplitudes]
+    tasks = [(spec, amp, cfg) for spec in specs for amp in amplitudes]
     # a pool forks all its workers at once: never more than cells or cores
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -342,7 +334,7 @@ def load_profile_csv(path):
 def cmd_simulate(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
     sim_cfg = cauchy.SimConfig(
-        a=cfg["domain_a"], b=cfg["domain_b"], m=int(cfg["cells"]),
+        a=cfg["domain_a"], b=cfg["domain_b"], m=cfg["cells"],
         t_end=cfg["t_end"], u_left=cfg["u_left"], u_right=cfg["u_right"],
         cfl=cfg["cfl"], snapshot_interval=cfg["snapshot_interval"],
     )
@@ -366,7 +358,6 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         raise ValueError(f"unknown init {cfg['init']!r}")
 
     traj = cauchy.simulate(state, kernel, sim_cfg)
-    cauchy.write_snapshots_csv(traj, out / "snapshots.csv")
 
     diagnostics = {
         "config": cfg,
@@ -392,7 +383,9 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         l1 = float(np.sum(np.abs(traj.final.u - shifted)) * sim_cfg.dx)
         diagnostics["L1_error_vs_translate"] = l1
         diagnostics["translate_speed"] = speed
+    # the JSON first: a non-finite value then leaves no file behind
     _write_json(diagnostics, out / "diagnostics.json")
+    cauchy.write_snapshots_csv(traj, out / "snapshots.csv")
     return EXIT_OK
 
 
@@ -409,7 +402,7 @@ VALIDATE_DEFAULTS = {
 
 def cmd_kernel_validate(cfg: dict, out: Path) -> int:
     kernel = parse_kernel_spec(cfg["kernel"])
-    report = kernels.validate_kernel(kernel, int(cfg["probes"]))
+    report = kernels.validate_kernel(kernel, cfg["probes"])
     payload = {
         "config": cfg,
         "checks": {name: {"passed": c.passed, "worst": c.worst}

@@ -142,8 +142,6 @@ def _columns(samples: np.ndarray, weights: np.ndarray, starts, stride: int,
 
 def _fine_values(values: np.ndarray, refine: int) -> np.ndarray:
     """Linear interpolation onto the refine-times finer grid."""
-    if refine == 1:
-        return np.asarray(values, dtype=float)
     w = np.arange(refine) / refine
     base = values[:-1, None] * (1.0 - w) + values[1:, None] * w
     return np.append(base.ravel(), values[-1])
@@ -318,16 +316,15 @@ class FullLineConvolver:
 
 
 def brute_force_convolve(kernel: Kernel, grid: HalfLineGrid, values: np.ndarray,
-                         far_value: float, x: float, tol: float = 1e-11,
-                         max_levels: int = 24) -> float:
+                         far_value: float, x: float) -> float:
     """Adaptive quadrature of the same odd-reflection integrand at one point.
 
     Used only as an independent test oracle: the integrand (kernel
     difference times the linearly interpolated field) is integrated over
     every grid cell by repeated interval halving until two successive
-    refinements agree to ``tol``, with kernel breakpoints inserted as
-    extra segment edges.  The far-field tail is the same exact CDF term
-    the grid path uses.
+    refinements agree to 1e-11, with kernel breakpoints (every node of a
+    table) inserted as extra segment edges.  The far-field tail is the same
+    exact CDF term the grid path uses.
     """
     length = grid.length
     if not (-length <= x <= 0.0):
@@ -344,7 +341,6 @@ def brute_force_convolve(kernel: Kernel, grid: HalfLineGrid, values: np.ndarray,
         u = np.interp(y, nodes, values)
         return (kernel.density(x - y) - kernel.density(x + y)) * u
 
-    integral = refine_segments(integrand, edges, rtol=0.0, atol=tol,
-                               max_levels=max_levels)
+    integral = refine_segments(integrand, edges, rtol=0.0, atol=1e-11)
     tail = 1.0 - kernel.cdf(x + length) - kernel.cdf(x - length)
     return float(integral + far_value * tail)

@@ -21,8 +21,6 @@ from scipy.special import erfc, erfcinv
 
 from ._quad import refine_segments
 
-FAMILIES = ("exponential", "gaussian", "uniform", "triangular", "tabulated")
-
 # input tolerance for tabulated data (evenness / nonnegativity / unit mass)
 TABLE_TOL = 1e-8
 
@@ -39,7 +37,7 @@ class DivergentMomentError(KernelError):
 class Kernel:
     """Even unit-mass convolution kernel with closed-form mass and moments.
 
-    family : one of FAMILIES
+    family : exponential, gaussian, uniform, triangular or tabulated
     param  : rate k (exponential), scale sigma (gaussian) or half-width a
              (uniform / triangular); 0.0 for tabulated kernels
     m1, m2 : first absolute and second moments of the density
@@ -127,9 +125,8 @@ class Kernel:
             return (a,)
         if self.family == "triangular":
             return (0.0, a)
-        # piecewise-linear density: kinks at every node; callers treat the
-        # whole table spacing as the smoothness scale instead
-        return (0.0, float(self.table_y[-1]))
+        # piecewise-linear density: kinks at every node
+        return tuple(float(v) for v in self.table_y[self.table_y >= 0.0])
 
     def density_jumps(self):
         """Offsets |y| where the density itself is discontinuous.
@@ -188,6 +185,8 @@ def tabulated_kernel(y, k, renormalize: bool = False) -> Kernel:
     k = np.asarray(k, dtype=float)
     if y.ndim != 1 or y.shape != k.shape or y.size < 3:
         raise KernelError("table needs matching 1-d y and K(y) columns, >= 3 rows")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(k))):
+        raise KernelError("table entries must be finite")
     dy = np.diff(y)
     if np.any(dy <= 0.0):
         raise KernelError("table y column must be strictly increasing")
@@ -231,20 +230,27 @@ def tabulated_kernel(y, k, renormalize: bool = False) -> Kernel:
     return Kernel("tabulated", 0.0, m1, m2, table_y=y, table_k=k, table_cdf=cdf)
 
 
+#: spellings of the one-parameter families: (builder, parameter name)
+SPELLINGS = {
+    "exponential": (exponential_kernel, "k"), "exp": (exponential_kernel, "k"),
+    "gaussian": (gaussian_kernel, "sigma"), "gauss": (gaussian_kernel, "sigma"),
+    "uniform": (uniform_kernel, "a"),
+    "triangular": (triangular_kernel, "a"), "tri": (triangular_kernel, "a"),
+}
+
+#: spellings of the tabulated family, built from (y, k[, renormalize])
+TABLE_SPELLINGS = ("tabulated", "table")
+
+
 def build_kernel(family: str, **params) -> Kernel:
     """Dispatch on the family name; see the individual builders."""
-    if family in ("exponential", "exp"):
-        return exponential_kernel(params["k"])
-    if family in ("gaussian", "gauss"):
-        return gaussian_kernel(params["sigma"])
-    if family == "uniform":
-        return uniform_kernel(params["a"])
-    if family in ("triangular", "tri"):
-        return triangular_kernel(params["a"])
-    if family in ("tabulated", "table"):
+    if family in TABLE_SPELLINGS:
         return tabulated_kernel(params["y"], params["k"],
                                 renormalize=params.get("renormalize", False))
-    raise KernelError(f"unknown kernel family {family!r}")
+    if family not in SPELLINGS:
+        raise KernelError(f"unknown kernel family {family!r}")
+    builder, name = SPELLINGS[family]
+    return builder(params[name])
 
 
 def _checked(kernel: Kernel) -> Kernel:
@@ -267,12 +273,7 @@ def _checked(kernel: Kernel) -> Kernel:
 def _quadrature_edges(kernel: Kernel):
     """[0, R] with R the 1e-14 mass radius, split at density breakpoints."""
     r = kernel.radius(1e-14)
-    edges = sorted({0.0, r, *(b for b in kernel.breakpoints() if 0.0 < b < r)})
-    if kernel.family == "tabulated":
-        # density kinks at every table node
-        nodes = kernel.table_y[kernel.table_y >= 0.0]
-        edges = sorted(set(edges).union(float(v) for v in nodes))
-    return edges
+    return sorted({0.0, r, *(b for b in kernel.breakpoints() if 0.0 < b < r)})
 
 
 def moment_quadrature(kernel: Kernel):
@@ -334,13 +335,12 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
     mass = mass_quadrature(kernel)
     mass_worst = float(abs(mass + kernel.tail_mass(r) - 1.0))
 
-    pos = y[y > 0.0]
-    kpos = kernel.density(pos)
-    decay_worst = float(max(0.0, np.max(np.diff(kpos)))) if pos.size > 1 else 0.0
+    # y[1:] are the positive probes, since y[0] = 0 < r
+    decay_worst = float(max(0.0, np.max(np.diff(ky[1:]))))
 
     m2_ok = np.isfinite(kernel.m2) and kernel.m2 > 0.0
 
-    jumps = np.abs(np.diff(kpos)) if pos.size > 1 else np.zeros(1)
+    jumps = np.abs(np.diff(ky[1:]))
     tv = float(np.sum(jumps))
     # a genuine jump survives probe refinement; a continuous density's
     # largest adjacent difference roughly halves when probes double

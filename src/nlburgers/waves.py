@@ -440,10 +440,14 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     1e-10: that indicates a discretization bug, not a property of the
     problem.  Hitting max_iter is not an error; the best iterate comes
     back with converged=False and classification 'indeterminate'.
-    ValueError if max_iter < 1: no sweep would leave no measured sup_diff.
+    ValueError if max_iter < 1 (no sweep leaves no measured sup_diff), and
+    unless 0 <= tol_iter < inf (inf converges after one sweep, NaN or a
+    negative tolerance never does).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 <= tol_iter < np.inf:
+        raise ValueError(f"tol_iter must be finite and nonnegative, got {tol_iter}")
     report = validate_kernel(kernel)
     if not report.all_passed:
         bad = [k for k, c in report.checks.items() if not c.passed]
@@ -656,11 +660,14 @@ def flux_balance(profile: WaveProfile, kernel: Kernel,
 
 
 def jump_identity(profile: WaveProfile, kernel: Kernel) -> float:
-    """| int y K(y) int_0^1 u(y t) dt dy + u_c^2 / 2 | for continuous waves.
+    """| int K(y) F(y) dy + u_c^2 / 2 | for continuous waves, F(y) = int_0^y u.
 
-    The derivation moves the derivative through the convolution, which
-    needs absolute continuity across 0; calling this on a sub-shock
-    profile is a contract violation.
+    This is int y K(y) int_0^1 u(y t) dt dy with s = y t.  F is exact for
+    the piecewise-linear odd component: a cumulative trapezoid sum at the
+    nodes, plus the trapezoid of the cell containing y.  The derivation
+    moves the derivative through the convolution, which needs absolute
+    continuity across 0; calling this on a sub-shock profile is a
+    contract violation.
     """
     if profile.classification != "continuous":
         raise ValueError(
@@ -671,19 +678,16 @@ def jump_identity(profile: WaveProfile, kernel: Kernel) -> float:
     u_c = profile.params.u_c
     r = min(kernel.radius(1e-13), grid.length)
 
-    x_full = grid.full_nodes()
-    u_full = profile.odd_component()
+    x = grid.full_nodes()
+    u = profile.odd_component()
+    big_f = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(x) * (u[1:] + u[:-1]))))
+    big_f -= big_f[grid.n]   # F(0) = 0 at the origin node
 
     y = np.linspace(-r, r, 8193)
-    t = np.linspace(0.0, 1.0, 257)
+    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
+    f_y = big_f[j] + 0.5 * (y - x[j]) * (u[j] + np.interp(y, x, u))
     wy = trapezoid_weights(y.size - 1, y[1] - y[0])
-    wt = trapezoid_weights(t.size - 1, t[1] - t[0])
-
-    z = y[:, None] * t[None, :]
-    u_z = np.interp(z.ravel(), x_full, u_full, left=u_c, right=-u_c)
-    inner = (u_z.reshape(z.shape) * wt).sum(axis=1)
-    outer = float(np.sum(wy * y * kernel.density(y) * inner))
-    return abs(outer + 0.5 * u_c ** 2)
+    return abs(float(np.sum(wy * kernel.density(y) * f_y)) + 0.5 * u_c ** 2)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             cy.SimConfig(a=-1.0, b=1.0, m=200, t_end=0.0, u_left=0, u_right=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", -np.inf), ("b", np.inf), ("t_end", np.inf), ("t_end", np.nan),
+        ("a", np.nan)])
+    def test_non_finite_domain_or_end_time_rejected(self, field, value):
+        # an infinite t_end would make simulate step forever
+        kwargs = dict(a=-1.0, b=1.0, m=200, t_end=1.0, u_left=0, u_right=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            cy.SimConfig(**kwargs)
+
     def test_centers(self):
         cfg = cy.SimConfig(a=0.0, b=1.0, m=128, t_end=1.0, u_left=0, u_right=0)
         x = cfg.centers()
@@ -75,6 +85,12 @@ class TestStep:
                            u_left=1.0, u_right=0.0)
         with pytest.raises(cy.SimulationError):
             cy.initial_state(cfg, 0.5)
+
+    def test_initial_data_is_a_callable_or_a_constant(self):
+        cfg = cy.SimConfig(a=-10.0, b=10.0, m=200, t_end=1.0,
+                           u_left=1.0, u_right=1.0)
+        with pytest.raises(TypeError):
+            cy.initial_state(cfg, np.ones(cfg.m))
 
 
 class TestSimulate:
@@ -128,6 +144,33 @@ class TestSimulate:
             cap = cfg.cfl * np.max(np.abs(state.u)) + dt * 2.0 * np.max(np.abs(state.u))
             assert biggest <= cap + 1e-12
             state = new
+
+    def test_band_checked_between_snapshots(self, monkeypatch):
+        # one step between snapshots pushes a cell far outside the band and
+        # the next step takes the spike back out
+        cfg = cy.SimConfig(a=-40.0, b=40.0, m=256, t_end=1.0, u_left=1.0,
+                           u_right=-1.0, snapshot_interval=0.5)
+        real_step = cy.step
+        calls = []
+
+        def spiking_step(state, cfg, convolver, dt):
+            calls.append(state.t)
+            if len(calls) == 3:
+                u = state.u.copy()
+                u[128] -= 5.0
+                state = cy.SimState(state.x, u, state.t)
+            new = real_step(state, cfg, convolver, dt)
+            if len(calls) == 2:
+                u = new.u.copy()
+                u[128] += 5.0
+                new = cy.SimState(new.x, u, new.t)
+            return new
+
+        monkeypatch.setattr(cy, "step", spiking_step)
+        state = cy.initial_state(cfg, lambda x: np.where(x < 0.0, 1.0, -1.0))
+        with pytest.raises(cy.SimulationError, match="sanity band"):
+            cy.simulate(state, EXP1, cfg)
+        assert len(calls) == 2 and calls[1] < 0.5 - 1e-12
 
 
 class TestMeasureSpeed:

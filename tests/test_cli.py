@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from nlburgers import cauchy as cy
 from nlburgers import cli
 from nlburgers import kernels as kk
 from nlburgers import waves as wv
@@ -61,6 +62,38 @@ class TestKernelSpecs:
             with pytest.raises(kk.KernelError):
                 cli.parse_kernel_spec(spec)
 
+    @pytest.mark.parametrize("spelling", list(kk.SPELLINGS))
+    def test_every_spelling_builds_one_family(self, spelling):
+        builder, name = kk.SPELLINGS[spelling]
+        parsed = cli.parse_kernel_spec(f"{spelling.upper()}:{name}=0.7")
+        built = kk.build_kernel(spelling, **{name: 0.7})
+        assert parsed.family == built.family == builder(0.7).family
+        assert parsed.param == built.param == 0.7
+
+    @pytest.mark.parametrize("spelling", kk.TABLE_SPELLINGS)
+    def test_every_table_spelling_builds_a_table(self, tmp_path, spelling):
+        y = np.linspace(-1.0, 1.0, 201)
+        vals = np.maximum(1.0 - np.abs(y), 0.0)
+        path = tmp_path / "tri.csv"
+        np.savetxt(path, np.column_stack([y, vals]), delimiter=",")
+        parsed = cli.parse_kernel_spec(f"{spelling}:{path}")
+        built = kk.build_kernel(spelling, y=y, k=vals)
+        assert parsed.family == built.family == "tabulated"
+        np.testing.assert_array_equal(parsed.table_k, built.table_k)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("exp", "kernel spec 'exp' lacks parameters"),
+        ("exp:k", "kernel spec 'exp:k': expected name=value"),
+        ("exp:k=x", "kernel spec 'exp:k=x': bad number 'x'"),
+        ("foo:k=1", "unknown kernel family 'foo'"),
+        ("exp:a=1", "kernel spec 'exp:a=1': family 'exp' takes parameter 'k'"),
+    ])
+    def test_error_texts(self, spec, message):
+        # sweep rows and the CLI's JSON errors carry these texts verbatim
+        with pytest.raises(kk.KernelError) as info:
+            cli.parse_kernel_spec(spec)
+        assert str(info.value) == message
+
 
 class TestSolveCommand:
     def test_files_and_exit_code(self, tmp_path):
@@ -97,6 +130,23 @@ class TestSolveCommand:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert not (tmp_path / "profile.meta.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+    def test_unusable_tolerance_error_json(self, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        code = run(["solve", "--kernel", "exp:k=1", "--grid-n", "64",
+                    "--max-iter", "20", f"--tol-iter={tol}", "--out-dir", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_meta_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wv, "flux_balance", lambda *args, **kw: float("inf"))
+        out = tmp_path / "out"
+        code = run(["solve", "--kernel", "exp:k=1", "--grid-n", "256",
+                    "--out-dir", str(out)])
+        assert code == 1
+        assert list(out.iterdir()) == []
 
     def test_determinism_and_config_equivalence(self, tmp_path):
         out = tmp_path / "out"
@@ -286,6 +336,14 @@ class TestSimulateCommand:
         assert max(diag["max_slope"]) == 0.0
         lines = (tmp_path / "snapshots.csv").read_text().splitlines()
         assert lines[0] == "t,x,u"
+
+    def test_non_finite_diagnostics_leave_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cy.Trajectory, "slope_growth", lambda self: float("inf"))
+        out = tmp_path / "out"
+        code = run(["simulate", "--kernel", "exp:k=1", "--cells", "256",
+                    "--t-end", "0.5", "--out-dir", str(out)])
+        assert code == 1
+        assert list(out.iterdir()) == []
 
     def test_init_from_profile(self, tmp_path):
         solve_dir = tmp_path / "wave"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlburgers import kernels as kk
+from nlburgers._quad import QuadratureError, refine_segments
 
 
 def family_suite():
@@ -171,6 +172,24 @@ class TestTabulated:
         with pytest.raises(kk.KernelError, match="spaced"):
             kk.tabulated_kernel(y, vals, renormalize=True)
 
+    @pytest.mark.parametrize("column", ["y", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, column, bad):
+        # NaN fails no comparison, so without this check the table would
+        # build with NaN moments and send validation through every level
+        y, vals = self.make_table()
+        table = {"y": y.copy(), "k": vals.copy()}
+        table[column][[0, -1]] = bad
+        with pytest.raises(kk.KernelError, match="finite"):
+            kk.tabulated_kernel(table["y"], table["k"])
+
+    def test_breakpoints_are_the_nodes(self):
+        y, vals = self.make_table(n=801)
+        ker = kk.tabulated_kernel(y, vals, renormalize=True)
+        nodes = y[y >= 0.0]
+        assert ker.breakpoints() == tuple(nodes)
+        assert kk._quadrature_edges(ker) == sorted({0.0, *nodes})
+
     def test_divergent_tail_rejected(self):
         y = np.linspace(-50.0, 50.0, 4001)
         with pytest.raises(kk.DivergentMomentError):
@@ -185,3 +204,16 @@ class TestTabulated:
         np.testing.assert_allclose(v2, vals, rtol=1e-15)
         ker = kk.tabulated_kernel(y2, v2, renormalize=True)
         assert kk.validate_kernel(ker, 128).all_passed
+
+
+class TestAdaptiveQuadrature:
+    def test_non_finite_sum_raises_at_once(self):
+        calls = []
+
+        def nan_integrand(y):
+            calls.append(y.size)
+            return np.full_like(y, np.nan)
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            refine_segments(nan_integrand, [0.0, 1.0, 2.0], max_levels=8)
+        assert len(calls) == 1

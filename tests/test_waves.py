@@ -32,6 +32,26 @@ def dense_g_profile(kernel, u_c, eps, probes):
     return num / den, limit
 
 
+def dense_jump_identity(profile, kernel):
+    """| int y K(y) int_0^1 u(y t) dt dy + u_c^2 / 2 | by the dense double
+    trapezoid sum on 8193 y nodes x 257 t nodes.  The oracle for
+    waves.jump_identity."""
+    grid = profile.grid
+    u_c = profile.params.u_c
+    r = min(kernel.radius(1e-13), grid.length)
+    y = np.linspace(-r, r, 8193)
+    t = np.linspace(0.0, 1.0, 257)
+    wy = np.full(y.size, y[1] - y[0])
+    wt = np.full(t.size, t[1] - t[0])
+    wy[[0, -1]] *= 0.5
+    wt[[0, -1]] *= 0.5
+    z = y[:, None] * t[None, :]
+    u_z = np.interp(z.ravel(), grid.full_nodes(), profile.odd_component(),
+                    left=u_c, right=-u_c)
+    inner = (u_z.reshape(z.shape) * wt).sum(axis=1)
+    return abs(float(np.sum(wy * y * kernel.density(y) * inner)) + 0.5 * u_c ** 2)
+
+
 def certificate_inputs(kernel, rho, n):
     """(u_c, eps_0, probes, g, g_limit) on the grid solve_wave would use
     for amplitude rho 4 M1 at n nodes, at the starting candidate eps."""
@@ -364,6 +384,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iter"):
             solver(EXP1, wv.WaveParams(1.0, -1.0), n=64, max_iter=0)
 
+    @pytest.mark.parametrize("solver", [wv.solve_wave, wv.classify_shock],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-8])
+    def test_unusable_tolerance_rejected(self, solver, tol):
+        # inf would report convergence after one sweep; NaN or a negative
+        # tolerance would run every sweep and never converge
+        with pytest.raises(ValueError, match="tol_iter"):
+            solver(EXP1, wv.WaveParams(1.0, -1.0), n=64, tol_iter=tol, max_iter=20)
+
 
 class TestClassification:
     def test_strong_shock(self):
@@ -445,6 +474,7 @@ class TestResiduals:
         assert rec.measured == "continuous"
         defect = wv.jump_identity(rec.profile, EXP1)
         assert defect <= 1e-3
+        assert defect == pytest.approx(dense_jump_identity(rec.profile, EXP1), abs=1e-6)
         # consistency bound: |int y K int u| = u_c^2/2 <= u_c M1
         assert 0.5 * rec.profile.params.u_c ** 2 <= rec.profile.params.u_c * EXP1.m1
 
@@ -462,7 +492,11 @@ class TestResiduals:
         profile.classification = rec.measured
         assert wv.weak_residual(profile, EXP1) <= 1e-5
         assert wv.flux_balance(profile, EXP1) <= 1e-4
-        assert wv.jump_identity(profile, EXP1) <= 1e-3
+        defect = wv.jump_identity(profile, EXP1)
+        assert defect <= 1e-3
+        assert defect == pytest.approx(dense_jump_identity(profile, EXP1), abs=1e-6)
+        assert wv.jump_identity(rec.profile, EXP1) == pytest.approx(
+            dense_jump_identity(rec.profile, EXP1), abs=1e-6)
 
 
 class TestSerialization:

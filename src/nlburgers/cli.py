@@ -140,6 +140,13 @@ def _residuals(profile, kernel, refine: int) -> dict:
     }
 
 
+def _subsolution_report(profile) -> dict:
+    """The certificate the profile's solve used."""
+    spec = profile.subsolution
+    return {"epsilon": spec.epsilon, "halvings": spec.halvings,
+            "g_sup": spec.g_sup, "g_limit": spec.g_limit}
+
+
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
@@ -177,6 +184,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         "classification": profile.classification,
         "converged": profile.converged,
         "residuals": _residuals(profile, kernel, cfg["refine"]),
+        "subsolution": _subsolution_report(profile),
     }
     # the JSON first: a non-finite value then leaves no file behind
     _write_json(meta, out / "profile.meta.json")
@@ -208,6 +216,7 @@ def cmd_classify(cfg: dict, out: Path) -> int:
         "amplitude": record.amplitude,
         "threshold": record.threshold,
         "consistent": record.consistent,
+        "subsolution": _subsolution_report(record.profile),
     }
     _write_json(payload, out / "classification.json")
     return EXIT_OK if record.measured != "indeterminate" else EXIT_INDETERMINATE

@@ -26,7 +26,7 @@ bug, not a data point.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -115,13 +115,20 @@ class WaveParams:
 
 @dataclass
 class SubsolutionSpec:
-    """arctan comparison function s_sub(x) = -(2 u_c / pi) arctan(eps x)."""
+    """arctan comparison function s_sub(x) = -(2 u_c / pi) arctan(eps x).
+
+    The certificate g <= 1 depends on the kernel, u_c and L alone, which
+    it records; only the samples belong to one grid.
+    """
 
     epsilon: float
     samples: np.ndarray      # s_sub at the grid nodes
     g_sup: float             # max of g over the probe grid
     g_limit: float           # x -> 0 limit of g, from the closed form
     halvings: int
+    kernel: Kernel
+    u_c: float
+    length: float
 
 
 @dataclass
@@ -171,6 +178,11 @@ class WaveProfile:
     iterations: int
     final_sup_diff: float
     classification: str = "indeterminate"
+    # what solve_wave built for this grid, kept for reuse by the caller
+    subsolution: Optional[SubsolutionSpec] = field(default=None, repr=False,
+                                                   compare=False)
+    convolver: Optional[OddConvolver] = field(default=None, repr=False,
+                                              compare=False)
 
     @property
     def jump(self) -> float:
@@ -264,6 +276,11 @@ def _g_profile(quad, u_c: float, eps: float):
     return num / den, limit
 
 
+def _subsolution_samples(u_c: float, eps: float,
+                         grid: HalfLineGrid) -> np.ndarray:
+    return (2.0 * u_c / np.pi) * np.arctan(-eps * grid.nodes())
+
+
 def subsolution(params: WaveParams, kernel: Kernel,
                 grid: HalfLineGrid) -> SubsolutionSpec:
     """Pick eps so the arctan profile is a verified subsolution.
@@ -280,13 +297,31 @@ def subsolution(params: WaveParams, kernel: Kernel,
         g, g_limit = _g_profile(quad, u_c, eps)
         g_sup = float(np.max(g))
         if max(g_sup, g_limit) <= 1.0:
-            samples = (2.0 * u_c / np.pi) * np.arctan(-eps * grid.nodes())
-            return SubsolutionSpec(eps, samples, g_sup, g_limit, halvings)
+            return SubsolutionSpec(
+                epsilon=eps, samples=_subsolution_samples(u_c, eps, grid),
+                g_sup=g_sup, g_limit=g_limit, halvings=halvings,
+                kernel=kernel, u_c=u_c, length=grid.length)
         eps *= 0.5
     raise SubsolutionError(
         f"g(x, eps) stayed above 1 after {SUBSOLUTION_MAX_HALVINGS} halvings; "
         "the kernel violates the finite-second-moment hypothesis in practice"
     )
+
+
+def _resampled(spec: SubsolutionSpec, params: WaveParams, kernel: Kernel,
+               grid: HalfLineGrid) -> SubsolutionSpec:
+    """A certificate moved to another grid: the samples are retaken, eps
+    and the g bounds kept.  ValueError unless it was certified for the
+    same kernel object, u_c and L."""
+    if spec.kernel is not kernel:
+        raise ValueError("subsolution certificate was made for another kernel")
+    if spec.u_c != params.u_c:
+        raise ValueError(f"subsolution certificate was made for u_c = {spec.u_c!r}, "
+                         f"not {params.u_c!r}")
+    if spec.length != grid.length:
+        raise ValueError(f"subsolution certificate was made for L = {spec.length!r}, "
+                         f"not {grid.length!r}")
+    return replace(spec, samples=_subsolution_samples(spec.u_c, spec.epsilon, grid))
 
 
 # ----------------------------------------------------------------------
@@ -432,17 +467,24 @@ def default_length(kernel: Kernel, params: WaveParams, n: int = 4096,
 def solve_wave(kernel: Kernel, params: WaveParams, *,
                length: Optional[float] = None, n: int = 4096,
                tol_iter: float = 1e-8, max_iter: int = 5000,
-               refine: int = REFINE_DEFAULT):
+               refine: int = REFINE_DEFAULT,
+               certificate: Optional[SubsolutionSpec] = None):
     """Iterate from the supersolution to the wave; returns (profile, trace).
+
+    The profile keeps the subsolution and the convolution plan built for
+    its grid.  A ``certificate`` from an earlier solve with the same
+    kernel, u_c and L is reused in place of a new subsolution search; only
+    its samples are retaken on this grid.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
     SchemeInvariantError if any ordering invariant fails beyond
     1e-10: that indicates a discretization bug, not a property of the
     problem.  Hitting max_iter is not an error; the best iterate comes
     back with converged=False and classification 'indeterminate'.
-    ValueError if max_iter < 1 (no sweep leaves no measured sup_diff), and
+    ValueError if max_iter < 1 (no sweep leaves no measured sup_diff),
     unless 0 <= tol_iter < inf (inf converges after one sweep, NaN or a
-    negative tolerance never does).
+    negative tolerance never does), and for a certificate made for
+    another kernel, u_c or L.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -459,7 +501,10 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
 
     grid = HalfLineGrid(length, n)
     convolver = OddConvolver(kernel, grid, refine)
-    sub = subsolution(params, kernel, grid)
+    if certificate is None:
+        sub = subsolution(params, kernel, grid)
+    else:
+        sub = _resampled(certificate, params, kernel, grid)
     u_c = params.u_c
 
     trace = IterationTrace()
@@ -490,7 +535,8 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
 
     profile = WaveProfile(grid=grid, values=v, params=params,
                           converged=converged, iterations=trace.iterations,
-                          final_sup_diff=sup_diff)
+                          final_sup_diff=sup_diff, subsolution=sub,
+                          convolver=convolver)
     return profile, trace
 
 
@@ -528,16 +574,19 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
     jump is a vanishing discretization artifact; ratios above
     RATIO_DISCONTINUOUS with J(4N) clear of the finest spacing mean a
     genuine sub-shock; anything else stays indeterminate.  The N solve
-    resolves L (see solve_wave); the 2N and 4N solves reuse it.
+    resolves L (see solve_wave) and certifies the subsolution; the 2N and
+    4N solves reuse both.
     """
     sizes = (n, 2 * n, 4 * n)
     profiles = []
+    certificate = None
     for size in sizes:
         prof, _ = solve_wave(kernel, params, length=length, n=size,
                              tol_iter=tol_iter, max_iter=max_iter,
-                             refine=refine)
+                             refine=refine, certificate=certificate)
         profiles.append(prof)
         length = prof.grid.length
+        certificate = prof.subsolution
 
     jumps = tuple(p.jump for p in profiles)
     ratios = tuple(
@@ -574,6 +623,17 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
 # ----------------------------------------------------------------------
 
 
+def _residual_convolver(profile: WaveProfile, kernel: Kernel,
+                        refine: int) -> OddConvolver:
+    """The profile's own plan when it was built for this kernel object,
+    refine and grid; a fresh plan otherwise."""
+    plan = profile.convolver
+    if (plan is not None and plan.kernel is kernel and plan.refine == refine
+            and plan.grid == profile.grid):
+        return plan
+    return OddConvolver(kernel, profile.grid, refine)
+
+
 def pointwise_residual(profile: WaveProfile, kernel: Kernel,
                        refine: int = REFINE_DEFAULT):
     """max |u u' - (K*u - u)| at interior nodes, a five-node collar at 0
@@ -587,7 +647,7 @@ def pointwise_residual(profile: WaveProfile, kernel: Kernel,
     """
     grid = profile.grid
     u = profile.values
-    g = OddConvolver(kernel, grid, refine).apply_values(u, profile.params.u_c)
+    g = _residual_convolver(profile, kernel, refine).apply_values(u, profile.params.u_c)
     h = grid.h
     du = (u[2:] - u[:-2]) / (2.0 * h)
     res = np.abs(u[1:-1] * du - (g[1:-1] - u[1:-1]))
@@ -628,7 +688,7 @@ def weak_residual(profile: WaveProfile, kernel: Kernel,
     mag = profile.magnitude()
     quad = 0.5 * mag * mag - 0.5 * profile.params.s ** 2
 
-    g = OddConvolver(kernel, grid, refine).apply_values(
+    g = _residual_convolver(profile, kernel, refine).apply_values(
         profile.values, profile.params.u_c)
     source = _odd_extension(g) - profile.odd_component()
     weights = trapezoid_weights(x.size - 1, h)
@@ -653,7 +713,7 @@ def flux_balance(profile: WaveProfile, kernel: Kernel,
     grid = profile.grid
     u = profile.values
     u_c = profile.params.u_c
-    g = OddConvolver(kernel, grid, refine).apply_values(u, u_c)
+    g = _residual_convolver(profile, kernel, refine).apply_values(u, u_c)
     integral = float(np.sum(trapezoid_weights(grid.n, grid.h) * (g - u)))
     target = 0.5 * (float(u[-1]) ** 2 - u_c ** 2)
     return abs(integral - target)

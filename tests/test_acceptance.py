@@ -134,12 +134,12 @@ class TestCriterion4:
                 worst["jump_id"] = max(worst["jump_id"],
                                        wv.jump_identity(profile, kernel))
         ok = (worst["pointwise"] <= 1e-3 and worst["weak"] <= 1e-4
-              and worst["flux"] <= 1e-4 and worst["jump_id"] <= 1e-3
+              and worst["flux"] <= 1e-4 and worst["jump_id"] <= 1e-4
               and continuous >= 4)
         report(4, ok,
                f"pointwise {worst['pointwise']:.2e} <= 1e-3, weak "
                f"{worst['weak']:.2e} <= 1e-4, flux {worst['flux']:.2e} <= 1e-4, "
-               f"jump identity {worst['jump_id']:.2e} <= 1e-3 on "
+               f"jump identity {worst['jump_id']:.2e} <= 1e-4 on "
                f"{continuous} continuous profiles")
 
 

@@ -107,6 +107,12 @@ class TestSolveCommand:
         assert meta["s"] == 0.0 and meta["u_c"] == 1.0
         assert meta["config"]["grid_n"] == 256
         assert "seed" not in meta["config"]
+        # exp:k=1 at u_c = 1 certifies the first candidate u_c / (pi M2)
+        sub = meta["subsolution"]
+        assert set(sub) == {"epsilon", "halvings", "g_sup", "g_limit"}
+        assert sub["epsilon"] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
+        assert sub["halvings"] == 0
+        assert max(sub["g_sup"], sub["g_limit"]) <= 1.0
         assert (out / "profile.csv").exists()
         assert (out / "trace.csv").exists()
 
@@ -210,6 +216,9 @@ class TestClassifyCommand:
         assert payload["measured"] == "discontinuous"
         assert payload["predicted_by_theorem"] is True
         assert len(payload["jumps"]) == 3
+        sub = payload["subsolution"]
+        assert set(sub) == {"epsilon", "halvings", "g_sup", "g_limit"}
+        assert max(sub["g_sup"], sub["g_limit"]) <= 1.0
 
     def test_indeterminate_exit_two(self, tmp_path):
         code = run(["classify", "--kernel", "exp:k=1", "--u-minus", "1",

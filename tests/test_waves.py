@@ -1,5 +1,6 @@
 """The monotone iteration: oracles, invariants, classification, residuals."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -419,6 +420,88 @@ class TestClassification:
         rec = wv.classify_shock(ker, wv.WaveParams(0.5, -0.5), n=256,
                                 length=30.0)
         assert rec.length == rec.profile.grid.length == snapped
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Plans and subsolution certificates built while the test runs."""
+    counts = {"plans": 0, "certificates": 0}
+    plan_init = cv.OddConvolver.__init__
+    certify = wv.subsolution
+
+    def counted_init(self, *args, **kwargs):
+        counts["plans"] += 1
+        plan_init(self, *args, **kwargs)
+
+    def counted_certify(*args, **kwargs):
+        counts["certificates"] += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(cv.OddConvolver, "__init__", counted_init)
+    monkeypatch.setattr(wv, "subsolution", counted_certify)
+    return counts
+
+
+def residual_trio(profile, kernel, refine=cv.REFINE_DEFAULT):
+    return (wv.pointwise_residual(profile, kernel, refine),
+            wv.weak_residual(profile, kernel, refine),
+            wv.flux_balance(profile, kernel, refine))
+
+
+class TestReuse:
+    def test_classify_certifies_once(self, built):
+        params = wv.WaveParams(1.0, -1.0)
+        rec = wv.classify_shock(EXP1, params, n=128)
+        assert built == {"plans": 3, "certificates": 1}
+        # the reused certificate is the one a fresh search finds on the
+        # finest grid, samples included
+        fresh = wv.subsolution(params, EXP1, rec.profile.grid)
+        reused = rec.profile.subsolution
+        assert reused.samples.shape == (rec.profile.grid.n + 1,)
+        np.testing.assert_array_equal(reused.samples, fresh.samples)
+        assert ((reused.epsilon, reused.g_sup, reused.g_limit, reused.halvings)
+                == (fresh.epsilon, fresh.g_sup, fresh.g_limit, fresh.halvings))
+
+    def test_residuals_reuse_the_solve_plan(self, built):
+        profile, _ = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)
+        assert built == {"plans": 1, "certificates": 1}
+        reused = residual_trio(profile, EXP1)
+        assert built["plans"] == 1
+        fresh = residual_trio(dataclasses.replace(profile, convolver=None), EXP1)
+        assert built["plans"] == 4
+        assert reused == fresh
+
+    @pytest.mark.parametrize("change", ["refine", "kernel", "grid"])
+    def test_other_inputs_build_their_own_plan(self, built, change):
+        profile, _ = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
+        kernel, refine = EXP1, cv.REFINE_DEFAULT
+        if change == "refine":
+            refine = 4
+        elif change == "kernel":
+            kernel = kk.exponential_kernel(1.0)   # equal, but another object
+        else:
+            profile = dataclasses.replace(
+                profile, grid=cv.HalfLineGrid(2.0 * profile.grid.length, 256))
+        before = built["plans"]
+        got = residual_trio(profile, kernel, refine)
+        assert built["plans"] == before + 3
+        bare = dataclasses.replace(profile, convolver=None)
+        assert got == residual_trio(bare, kernel, refine)
+
+    @pytest.mark.parametrize("change", ["kernel", "u_c", "length"])
+    def test_certificate_for_another_problem_refused(self, change):
+        params = wv.WaveParams(1.0, -1.0)
+        first, _ = wv.solve_wave(EXP1, params, n=128)
+        kernel, length = EXP1, first.grid.length
+        if change == "kernel":
+            kernel = kk.gaussian_kernel(1.0)
+        elif change == "u_c":
+            params = wv.WaveParams(2.0, -2.0)
+        else:
+            length = 2.0 * length
+        with pytest.raises(ValueError, match="certificate was made for"):
+            wv.solve_wave(kernel, params, n=256, length=length,
+                          certificate=first.subsolution)
 
 
 @pytest.fixture(scope="module")

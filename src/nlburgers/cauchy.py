@@ -95,9 +95,7 @@ def initial_state(cfg: SimConfig, init) -> SimState:
 
 def state_from_profile(profile: WaveProfile, cfg: SimConfig) -> SimState:
     """Sample a solved wave profile onto the cells."""
-    state = SimState(cfg.centers(), profile.interp_full(cfg.centers()), 0.0)
-    _check_far_fields(state, cfg)
-    return state
+    return initial_state(cfg, profile.interp_full)
 
 
 def _check_far_fields(state: SimState, cfg: SimConfig):

@@ -13,9 +13,10 @@ repeatedly solves the linear problem
 whose bounded solution is w(x) = int_{-inf}^x e^{A(x)-A(t)} F(t) dt with
 A(t) = int_t^0 dr/u_n(r) and F = (K*u_n)/u_n.  Every exponent is <= 0, so
 the marching form of this integral is unconditionally stable.  Each cell
-is integrated exactly for piecewise-linear u_n and K*u_n (a product rule);
-that exactness is what keeps the recurrence well behaved when u_n(0)
-decays toward zero on profiles without a sub-shock.
+is integrated exactly for piecewise-linear u_n and K*u_n (a product rule),
+by one closed form that holds at every cell slope; that exactness is what
+keeps the recurrence well behaved when u_n(0) decays toward zero on
+profiles without a sub-shock.
 
 The iterates decrease pointwise, stay nonincreasing in x, and remain
 pinched between the arctan subsolution and u_c; the solver enforces all
@@ -31,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import exprel
 
 from ._quad import trapezoid_weights
 from .convolve import (
@@ -333,51 +335,32 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
     """March w + u w' = g rightward from w(-L) = left_value.
 
     Per cell, with u and g linear, the update is
-        w_{i+1} = r_i w_i + w0_i g_i + w1_i g_{i+1},
-    where r_i = exp(dA_i) uses the exact cell decrement of A for linear u
-    (the log-mean rule) and (w0, w1) integrate e^{A_{i+1}-A(t)} g(t)/u(t)
-    in closed form.  All three weights are nonnegative and w0 + w1 = 1 - r,
-    so the update is a convex-type combination: positivity and upper bounds
-    of g are inherited exactly.
+        w_{i+1} = r_i w_i + w0_i g_i + w1_i g_{i+1}.
+    With u0 = u_i, u1 = u_{i+1} and du = u0 - u1, the cell's decay is
+        theta = int dt/u = h q / du,   q = log1p(du / u1)
+    (h / u1 when du = 0), and r = exp(-theta).  E(t) = exp(-int_t^{x_{i+1}}
+    ds/u) has cell mean m = (u1 theta / h) exprel(q - theta) with
+    exprel(z) = (e^z - 1)/z, so w1 = 1 - m and w0 = 1 - r - w1.  This one
+    form is exact at every slope, flat cells and slope -1 included.  Where
+    u1 underflows to zero or to a denormal that overflows du / u1, theta is
+    infinite and (r, w0, w1) = (0, 0, 1), the analytic limit.  All three
+    weights are nonnegative and w0 + w1 = 1 - r, so the update is a
+    convex-type combination: positivity and upper bounds of g are
+    inherited exactly.
     """
     u0, u1 = u[:-1], u[1:]
-    g0, g1 = g[:-1], g[1:]
-    du = u1 - u0
-    # u may underflow to exact zero at the origin node; log(0) = -inf makes
-    # the weights below degrade to (r, w0, w1) = (0, 0, 1) there, which is
-    # their analytic limit
-    with np.errstate(divide="ignore"):
-        q = np.log(u0) - np.log(u1)
-    q = np.maximum(q, 0.0)
-
-    small_q = q <= 1e-8
-    safe_du = np.where(small_q, -1.0, du)
-    da = np.where(small_q, -2.0 * h / (u0 + u1), h * q / safe_du)
-    r = np.exp(da)
-
-    sigma = du / h
-    one_p = 1.0 + sigma
-    degenerate = np.abs(one_p) <= 1e-6
-
-    # general closed form for the g-weights
-    safe_one_p = np.where(degenerate, 1.0, one_p)
-    w1_gen = ((u1 - u0 * r) / safe_one_p - u0 * (1.0 - r)) / safe_du
-
-    # u nearly constant on the cell: classic exponential-integrator weights
-    theta = -da
-    safe_theta = np.where(theta > 0, theta, 1.0)
-    w1_const = 1.0 - (1.0 - r) / safe_theta
-
-    # slope near -1: first-order expansion of the degenerate exponent
-    u1q = u1 * np.where(u1 > 0.0, q, 0.0)
-    w1_slope = 1.0 - u1q / np.where(small_q, 1.0, u0 - u1)
-
-    w1 = np.where(small_q, w1_const, np.where(degenerate, w1_slope, w1_gen))
-    w1 = np.clip(w1, 0.0, None)
-    w0 = np.clip((1.0 - r) - w1, 0.0, None)
-
-    b = w0 * g0 + w1 * g1
-    return _scan(r, b, -da, left_value)
+    du = u0 - u1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.log1p(du / u1)
+        theta = np.where(du == 0.0, h / u1, h * q / du)
+        origin = ~np.isfinite(theta)
+        theta[origin] = np.inf
+        r = np.exp(-theta)
+        m = (u1 * theta / h) * exprel(q - theta)
+        w1 = np.where(origin, 1.0, np.clip(1.0 - m, 0.0, None))
+        w0 = np.where(origin, 0.0, np.clip(1.0 - r - w1, 0.0, None))
+    b = w0 * g[:-1] + w1 * g[1:]
+    return _scan(r, b, theta, left_value)
 
 
 def _scan(r: np.ndarray, b: np.ndarray, decay: np.ndarray, x0: float) -> np.ndarray:

@@ -223,26 +223,45 @@ class TestMarchInternals:
         # ODE integration of the same interpolants is an independent check
         from scipy.integrate import solve_ivp
 
+        def ode_march(x, u_n, g, left_value):
+            def rhs(t, w):
+                return [(np.interp(t, x, g) - w[0]) / np.interp(t, x, u_n)]
+
+            # one integration per cell, so every interpolation kink falls on
+            # a step boundary and the integrand is smooth inside each solve
+            want = [left_value]
+            for a, b in zip(x[:-1], x[1:]):
+                sol = solve_ivp(rhs, [a, b], [want[-1]], rtol=1e-13,
+                                atol=1e-15, method="DOP853")
+                want.append(sol.y[0, -1])
+            return want
+
         grid = cv.HalfLineGrid(30.0, 256)
         x = grid.nodes()
         u_n = 1.0 - 0.45 * np.exp(x)
         g = cv.OddConvolver(EXP1, grid, 4).apply_values(u_n, 1.0)
+        np.testing.assert_allclose(wv._advance(u_n, g, grid.h, 1.0),
+                                   ode_march(x, u_n, g, 1.0), rtol=0, atol=1e-12)
 
-        got = wv._advance(u_n, g, grid.h, 1.0)
+        # two cells at slope -1 +- 3e-7, a near-flat cell and a flat one:
+        # the weights have no special regime there
+        h = 0.01
+        x = h * np.arange(6)
+        u_n = np.array([0.05, 0.04 - 3e-9, 0.03 - 6e-9, 0.03 - 6.2e-9,
+                        0.02, 0.02])
+        g = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.3])
+        np.testing.assert_allclose(wv._advance(u_n, g, h, 0.04),
+                                   ode_march(x, u_n, g, 0.04), rtol=0, atol=1e-12)
 
-        def rhs(t, w):
-            ut = np.interp(t, x, u_n)
-            gt = np.interp(t, x, g)
-            return [(gt - w[0]) / ut]
-
-        # one integration per cell, so every interpolation kink falls on a
-        # step boundary and the integrand is smooth inside each solve
-        want = [1.0]
-        for a, b in zip(x[:-1], x[1:]):
-            sol = solve_ivp(rhs, [a, b], [want[-1]], rtol=1e-13, atol=1e-15,
-                            method="DOP853")
-            want.append(sol.y[0, -1])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("origin", [0.0, 5e-324, 1e-310])
+    def test_advance_origin_limit(self, origin):
+        # the origin sample may underflow to zero or to a denormal; the cell
+        # then takes its analytic limit w_{i+1} = g_{i+1}
+        u_n = np.array([1.0, 0.5, 0.02, origin])
+        g = np.array([0.9, 0.6, 0.3, 0.25])
+        out = wv._advance(u_n, g, 0.01, 1.0)
+        assert np.all(np.isfinite(out))
+        assert abs(out[-1] - g[-1]) <= 1e-15
 
 
 class TestIterateOnce:

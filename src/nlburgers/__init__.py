@@ -27,7 +27,6 @@ from .convolve import (
     GridKernelError,
     HalfLineGrid,
     OddConvolver,
-    brute_force_convolve,
 )
 from .kernels import (
     DivergentMomentError,

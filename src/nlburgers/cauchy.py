@@ -81,7 +81,7 @@ class SimState:
         if self.u.shape != self.x.shape:
             raise SimulationError("need one average per cell")
         if not np.all(np.isfinite(self.u)):
-            raise SimulationError("non-finite cell averages")
+            raise SimulationError(f"non-finite cell averages at t = {self.t:.6g}")
 
 
 def initial_state(cfg: SimConfig, init) -> SimState:
@@ -137,8 +137,6 @@ def step(state: SimState, cfg: SimConfig, convolver: FullLineConvolver,
     the cell centers and ``stable_dt`` gives the CFL-limited step."""
     conv = convolver.apply(state.u, cfg.u_left, cfg.u_right)
     u_new = _explicit_update(state.u, conv, dt, cfg.dx, cfg.u_left, cfg.u_right)
-    if not np.all(np.isfinite(u_new)):
-        raise SimulationError(f"scheme blew up at t = {state.t:.6g}")
     return SimState(state.x, u_new, state.t + dt)
 
 

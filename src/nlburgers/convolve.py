@@ -18,8 +18,8 @@ is linear between coarse nodes, so the fine-grid sum is evaluated exactly
 on the coarse nodes by product integration: each coarse sample multiplies
 a hat-weighted column of fine kernel samples.  Both geometries then reduce
 to one Toeplitz correlation, evaluated by a real FFT padded to 2M+1
-points.  Direct summation on the fine grid is the reference and must
-match the fast path to 1e-10 (enforced in the test suite).
+points.  Direct summation on the fine grid, kept in the test suite, is
+the reference, and the fast path must match it to 1e-10.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from ._quad import refine_segments, trapezoid_weights
+from ._quad import trapezoid_weights
 from .kernels import Kernel
 
 #: default subcell refinement of the quadrature grid
@@ -108,7 +108,7 @@ def snap_length(kernel: Kernel, length: float, n: int,
 
 
 # ----------------------------------------------------------------------
-# Toeplitz correlation and fine-grid plumbing
+# Toeplitz correlation and column sums
 # ----------------------------------------------------------------------
 
 
@@ -138,13 +138,6 @@ def _columns(samples: np.ndarray, weights: np.ndarray, starts, stride: int,
     for w, start in zip(weights, starts):
         out += w * samples[start::stride][:count]
     return out
-
-
-def _fine_values(values: np.ndarray, refine: int) -> np.ndarray:
-    """Linear interpolation onto the refine-times finer grid."""
-    w = np.arange(refine) / refine
-    base = values[:-1, None] * (1.0 - w) + values[1:, None] * w
-    return np.append(base.ravel(), values[-1])
 
 
 # ----------------------------------------------------------------------
@@ -237,30 +230,6 @@ class OddConvolver:
         out[-1] = 0.0  # odd function against an even kernel vanishes at 0
         return np.maximum(out, 0.0)
 
-    # -- reference path ---------------------------------------------------
-
-    def apply_direct(self, values: np.ndarray, far_value: float) -> np.ndarray:
-        """The fine-grid trapezoid sums by direct summation; the fast path
-        must match this."""
-        n, r = self.grid.n, self.refine
-        m = n * r
-        hf = self.grid.h / r
-        p = np.arange(2 * m + 1)
-        kt = self.kernel.density((p - m) * hf)   # K(x_i - y_q) at p = m + i r - q
-        khr = self.kernel.density(-2.0 * self.grid.length + p * hf)[::-1]
-        g = trapezoid_weights(m, hf) * _fine_values(values - far_value, r)
-        q = np.arange(m + 1)
-        out = np.empty(n + 1)
-        chunk = 64
-        for i0 in range(0, n + 1, chunk):
-            i = np.arange(i0, min(i0 + chunk, n + 1))
-            t = kt[i[:, None] * r - q[None, :] + m]
-            h = khr[2 * m - i[:, None] * r - q[None, :]]
-            out[i] = (t - h) @ g
-        out += far_value * self._exact_row
-        out[-1] = 0.0
-        return np.maximum(out, 0.0)
-
 
 # ----------------------------------------------------------------------
 # full-line convolution with constant far fields
@@ -308,39 +277,3 @@ class FullLineConvolver:
         out = self._toeplitz(self._weights * values)
         out += u_left * self._tail_left + u_right * self._tail_right
         return out / self._row
-
-
-# ----------------------------------------------------------------------
-# brute-force oracle
-# ----------------------------------------------------------------------
-
-
-def brute_force_convolve(kernel: Kernel, grid: HalfLineGrid, values: np.ndarray,
-                         far_value: float, x: float) -> float:
-    """Adaptive quadrature of the same odd-reflection integrand at one point.
-
-    Used only as an independent test oracle: the integrand (kernel
-    difference times the linearly interpolated field) is integrated over
-    every grid cell by repeated interval halving until two successive
-    refinements agree to 1e-11, with kernel breakpoints (every node of a
-    table) inserted as extra segment edges.  The far-field tail is the same
-    exact CDF term the grid path uses.
-    """
-    length = grid.length
-    if not (-length <= x <= 0.0):
-        raise ValueError("evaluation point must lie in [-L, 0]")
-    nodes = grid.nodes()
-    edges = set(nodes.tolist())
-    for bp in kernel.breakpoints():
-        for y_star in (x - bp, x + bp, -bp - x, bp - x):
-            if -length < y_star < 0.0:
-                edges.add(float(y_star))
-    edges = np.array(sorted(edges))
-
-    def integrand(y):
-        u = np.interp(y, nodes, values)
-        return (kernel.density(x - y) - kernel.density(x + y)) * u
-
-    integral = refine_segments(integrand, edges, rtol=0.0, atol=1e-11)
-    tail = 1.0 - kernel.cdf(x + length) - kernel.cdf(x - length)
-    return float(integral + far_value * tail)

@@ -152,12 +152,6 @@ class IterationTrace:
     def iterations(self) -> int:
         return len(self.sup_diffs)
 
-    def sup_diffs_nonincreasing(self) -> bool:
-        d = np.asarray(self.sup_diffs[1:])
-        if d.size < 2:
-            return True
-        return bool(np.all(np.diff(d) <= 1e-12))
-
     def rows(self):
         for i in range(self.iterations):
             yield (i + 1, self.sup_diffs[i], self.u_at_zero[i],
@@ -360,34 +354,31 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
         w1 = np.where(origin, 1.0, np.clip(1.0 - m, 0.0, None))
         w0 = np.where(origin, 0.0, np.clip(1.0 - r - w1, 0.0, None))
     b = w0 * g[:-1] + w1 * g[1:]
-    return _scan(r, b, theta, left_value)
+    return _scan(r, b, left_value)
 
 
-def _scan(r: np.ndarray, b: np.ndarray, decay: np.ndarray, x0: float) -> np.ndarray:
-    """Evaluate x_{i+1} = r_i x_i + b_i with r_i = exp(-decay_i), blocked so
-    no intermediate exponential overflows."""
+def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
+    """x_{i+1} = r_i x_i + b_i from x_0 = x0, by recursive doubling
+    (Kogge & Stone 1973).
+
+    Cell i is the map x -> r_i x + b_i; folding x0 into cell 0 makes its
+    map constant.  The round with stride k composes each cell i >= k with
+    the one k before it, c_i += a_i c_{i-k} and a_i *= a_{i-k}, so after
+    ceil(log2 n) rounds c_i = x_{i+1}.  The march has 0 <= r_i <= 1 and
+    b_i >= 0, so every term is nonnegative: nothing overflows or cancels,
+    and a cell with r_i = 0 just cuts off everything before it.
+    """
     n = r.size
     out = np.empty(n + 1)
     out[0] = x0
-    cap = 400.0
-    # extended precision keeps rounding of the running sum out of the
-    # exponent arguments below
-    cum = np.cumsum(decay.astype(np.longdouble))
-    start = 0
-    base = np.longdouble(0.0)
-    while start < n:
-        if decay[start] >= cap:
-            out[start + 1] = r[start] * out[start] + b[start]
-            start += 1
-            base = cum[start - 1]
-            continue
-        end = int(np.searchsorted(cum, base + cap, side="right"))
-        end = min(max(end, start + 1), n)
-        t = (cum[start:end] - base).astype(float)
-        pref = np.cumsum(np.exp(t) * b[start:end])
-        out[start + 1:end + 1] = np.exp(-t) * (out[start] + pref)
-        start = end
-        base = cum[end - 1]
+    out[1:] = b
+    out[1] += r[0] * x0
+    a, c = r.copy(), out[1:]
+    k = 1
+    while k < n:
+        c[k:] += a[k:] * c[:-k]
+        a[k:] = a[k:] * a[:-k]
+        k *= 2
     return out
 
 

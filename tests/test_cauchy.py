@@ -1,5 +1,7 @@
 """Finite-volume validator: steady states, hand-checked step, speed fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,25 @@ class TestStep:
         ]
         got = _explicit_update(u, conv, dt, dx, u_left, u_right)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_non_finite_update_names_the_time(self):
+        # the state check alone refuses a NaN update, naming the new time;
+        # numpy warns about nothing on the way
+        cfg = cy.SimConfig(a=-40.0, b=40.0, m=256, t_end=1.0,
+                           u_left=1.0, u_right=1.0)
+        state = cy.SimState(cfg.centers(), np.ones(cfg.m), 0.25)
+
+        class NaNConvolver:
+            def apply(self, values, u_left, u_right):
+                out = np.ones_like(values)
+                out[100] = np.nan
+                return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(cy.SimulationError,
+                               match=r"non-finite cell averages at t = 0\.26"):
+                cy.step(state, cfg, NaNConvolver(), 0.01)
 
     def test_cfl_dt(self):
         cfg = cy.SimConfig(a=-10.0, b=10.0, m=200, t_end=1.0,

@@ -17,14 +17,18 @@ inherited exactly by the discrete operator.  On the half line the field
 is linear between coarse nodes, so the fine-grid sum is evaluated exactly
 on the coarse nodes by product integration: each coarse sample multiplies
 a hat-weighted column of fine kernel samples.  Both geometries then reduce
-to one Toeplitz correlation, evaluated by a real FFT padded to 2M+1
-points.  Direct summation on the fine grid, kept in the test suite, is
+to one "valid" correlation of a length-G generator with a length-V input,
+evaluated by one real FFT round trip of at least G points.  The half line
+folds its Hankel (mirror) term into the same spectrum and drops the two
+end nodes, which exact end columns carry, so its FFT length is at least
+2N - 1.  Direct summation on the fine grid, kept in the test suite, is
 the reference, and the fast path must match it to 1e-10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -113,22 +117,42 @@ def snap_length(kernel: Kernel, length: float, n: int,
 
 
 class _Toeplitz:
-    """y_i = sum_j c[M + i - j] v_j for i, j = 0..M, from a generator c of
-    length 2M + 1.
+    """Valid correlation of a generator c of length G with inputs v of
+    length V <= G:
 
-    Every index M + i - j lies in [0, 2M], so a circular convolution of at
-    least 2M + 1 points never wraps around; the FFT length is the next
-    fast one.
+        y_i = sum_j c[i + V - 1 - j] v_j - sum_j b[i + j] v_j,
+        i = 0..G - V,
+
+    a Toeplitz product minus, when a second generator b of length G is
+    given, a Hankel one (b correlated with the reversed input).
+
+    Every index lies in [0, G - 1], so a circular convolution of at least
+    G points never wraps into the kept outputs; the FFT length is the next
+    fast one.  With F = rfft(v) and w = exp(-2 pi i / nfft), the
+    zero-padded reversed input has the spectrum w^((V-1)k) conj(F_k), so
+    b's spectrum is stored with that phase, as the rfft of b rotated by
+    V - 1, and both products share one rfft and one irfft.
     """
 
-    def __init__(self, generator: np.ndarray):
-        self._m = (generator.size - 1) // 2
+    def __init__(self, generator: np.ndarray, size: int,
+                 hankel: Optional[np.ndarray] = None):
+        self._lo, self._hi = size - 1, generator.size
         self.nfft = next_fast_len(generator.size, real=True)
         self._ft = rfft(generator, self.nfft)
+        self._fh = None
+        if hankel is not None:
+            padded = np.zeros(self.nfft)
+            padded[:hankel.size] = hankel
+            self._fh = rfft(np.roll(padded, size - 1))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        m = self._m
-        return irfft(rfft(v, self.nfft) * self._ft, self.nfft)[m:2 * m + 1]
+        spec = rfft(v, self.nfft)
+        out = spec * self._ft
+        if self._fh is not None:
+            np.conjugate(spec, out=spec)
+            spec *= self._fh
+            out -= spec
+        return irfft(out, self.nfft)[self._lo:self._hi]
 
 
 def _columns(samples: np.ndarray, weights: np.ndarray, starts, stride: int,
@@ -172,8 +196,10 @@ class OddConvolver:
 
     for interior j.  The half hats at j = 0 and j = N carry the trapezoid
     end weight h_f / 2; their exact columns replace A and B there.  The
-    kernel is sampled at integer multiples of h_f only, and each sum is
-    one Toeplitz correlation of N + 1 coarse values.
+    kernel is sampled at integer multiples of h_f only.  The interior
+    values d_1..d_{N-1} then meet A_{1-N}..A_{N-1} and B_1..B_{2N-1}
+    alone, so both sums are one spectral correlation (A minus B against
+    the reversed input) at an FFT length of at least 2N - 1.
     """
 
     def __init__(self, kernel: Kernel, grid: HalfLineGrid,
@@ -199,9 +225,12 @@ class OddConvolver:
         kt = kernel.density(p * hf)
         kh = kernel.density(-2.0 * grid.length + (p + m) * hf)
         hat = hf * (1.0 - np.abs(np.arange(1 - r, r)) / r)
-        self._toeplitz = _Toeplitz(_columns(kt, hat, range(2 * r - 1), r, 2 * n + 1))
-        self._hankel = _Toeplitz(_columns(kh, hat, range(2 * r - 1), r, 2 * n + 1))
-        self._nfft = self._toeplitz.nfft   # plan size, read by benchmark tracing
+        # A_{1-N}..A_{N-1} and B_1..B_{2N-1}: row i = 0 of A_{i-j} and
+        # B_{i+j} starts one coarse step (r samples) in, at j = 1
+        self._correlation = _Toeplitz(
+            _columns(kt, hat, range(r, 3 * r - 1), r, 2 * n - 1), n - 1,
+            hankel=_columns(kh, hat, range(r, 3 * r - 1), r, 2 * n - 1))
+        self._nfft = self._correlation.nfft   # plan size, read by benchmark tracing
 
         # half hats at j = 0 (fine k = 0..r-1) and j = N (k = -(r-1)..0)
         end = hat[r - 1:].copy()
@@ -223,10 +252,8 @@ class OddConvolver:
     def apply_values(self, values: np.ndarray, far_value: float) -> np.ndarray:
         """K*u at the nodes for samples u_i = u(x_i), u = far_value on x <= -L."""
         d = values - far_value
-        d0, dn = d[0], d[-1]
-        d[0] = d[-1] = 0.0
-        out = self._toeplitz(d) - self._hankel(d[::-1])
-        out += d0 * self._end0 + dn * self._endn + far_value * self._exact_row
+        out = self._correlation(d[1:-1])
+        out += d[0] * self._end0 + d[-1] * self._endn + far_value * self._exact_row
         out[-1] = 0.0  # odd function against an even kernel vanishes at 0
         return np.maximum(out, 0.0)
 
@@ -262,7 +289,8 @@ class FullLineConvolver:
 
         m = x.size - 1
         self._weights = trapezoid_weights(m, dx[0])
-        self._toeplitz = _Toeplitz(kernel.density((np.arange(2 * m + 1) - m) * dx[0]))
+        self._toeplitz = _Toeplitz(kernel.density((np.arange(2 * m + 1) - m) * dx[0]),
+                                   m + 1)
         self._nfft = self._toeplitz.nfft   # plan size, read by benchmark tracing
 
         self._tail_left = 1.0 - kernel.cdf(x - x[0])

@@ -32,7 +32,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import exprel
 
 from ._quad import trapezoid_weights
 from .convolve import (
@@ -43,7 +42,7 @@ from .convolve import (
     OddConvolver,
     snap_length,
 )
-from .kernels import Kernel, KernelError, validate_kernel
+from .kernels import Kernel, KernelError, KernelValidation, validate_kernel
 
 #: hard floor for iterate samples; a breach means the scheme collapsed
 FLOOR_DELTA = 1e-12
@@ -120,7 +119,9 @@ class SubsolutionSpec:
     """arctan comparison function s_sub(x) = -(2 u_c / pi) arctan(eps x).
 
     The certificate g <= 1 depends on the kernel, u_c and L alone, which
-    it records; only the samples belong to one grid.
+    it records; only the samples belong to one grid.  ``validation`` is
+    the passed kernel check that solve_wave attaches, so a later solve for
+    the same kernel object can skip it.
     """
 
     epsilon: float
@@ -131,6 +132,7 @@ class SubsolutionSpec:
     kernel: Kernel
     u_c: float
     length: float
+    validation: Optional[KernelValidation] = field(default=None, repr=False)
 
 
 @dataclass
@@ -333,8 +335,8 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
     With u0 = u_i, u1 = u_{i+1} and du = u0 - u1, the cell's decay is
         theta = int dt/u = h q / du,   q = log1p(du / u1)
     (h / u1 when du = 0), and r = exp(-theta).  E(t) = exp(-int_t^{x_{i+1}}
-    ds/u) has cell mean m = (u1 theta / h) exprel(q - theta) with
-    exprel(z) = (e^z - 1)/z, so w1 = 1 - m and w0 = 1 - r - w1.  This one
+    ds/u) has cell mean m = (u1 theta / h) (e^z - 1)/z with z = q - theta
+    (1 at z = 0), so w1 = 1 - m and w0 = 1 - r - w1.  This one
     form is exact at every slope, flat cells and slope -1 included.  Where
     u1 underflows to zero or to a denormal that overflows du / u1, theta is
     infinite and (r, w0, w1) = (0, 0, 1), the analytic limit.  All three
@@ -350,7 +352,8 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
         origin = ~np.isfinite(theta)
         theta[origin] = np.inf
         r = np.exp(-theta)
-        m = (u1 * theta / h) * exprel(q - theta)
+        z = q - theta
+        m = (u1 * theta / h) * np.where(z == 0.0, 1.0, np.expm1(z) / z)
         w1 = np.where(origin, 1.0, np.clip(1.0 - m, 0.0, None))
         w0 = np.where(origin, 0.0, np.clip(1.0 - r - w1, 0.0, None))
     b = w0 * g[:-1] + w1 * g[1:]
@@ -446,9 +449,12 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     """Iterate from the supersolution to the wave; returns (profile, trace).
 
     The profile keeps the subsolution and the convolution plan built for
-    its grid.  A ``certificate`` from an earlier solve with the same
-    kernel, u_c and L is reused in place of a new subsolution search; only
-    its samples are retaken on this grid.
+    its grid, and the subsolution carries the kernel validation.  A
+    ``certificate`` from an earlier solve with the same kernel, u_c and L
+    is reused in place of a new subsolution search; only its samples are
+    retaken on this grid.  Its validation is reused too when it was made
+    for this kernel object; a certificate without one (from a bare
+    subsolution call) leaves the kernel to be validated here.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
     SchemeInvariantError if any ordering invariant fails beyond
@@ -464,7 +470,11 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 <= tol_iter < np.inf:
         raise ValueError(f"tol_iter must be finite and nonnegative, got {tol_iter}")
-    report = validate_kernel(kernel)
+    if (certificate is not None and certificate.kernel is kernel
+            and certificate.validation is not None):
+        report = certificate.validation
+    else:
+        report = validate_kernel(kernel)
     if not report.all_passed:
         bad = [k for k, c in report.checks.items() if not c.passed]
         raise KernelError(f"kernel fails hypothesis checks: {', '.join(bad)}")
@@ -479,6 +489,7 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
         sub = subsolution(params, kernel, grid)
     else:
         sub = _resampled(certificate, params, kernel, grid)
+    sub.validation = report
     u_c = params.u_c
 
     trace = IterationTrace()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.fft import next_fast_len
+from scipy.linalg import hankel, toeplitz
 
 from nlburgers import convolve as cv
 from nlburgers import kernels as kk
@@ -193,7 +194,7 @@ class TestFastVsDirect:
         kk.triangular_kernel(1.0),
     ], ids=lambda k: k.family)
     def test_agreement(self, ker):
-        for n, refine in ((512, 4), (1024, 8)):
+        for n, refine in ((512, 4), (1024, 8), (96, 8), (243, 3)):
             length = cv.snap_length(ker, 30.0, n, refine)
             grid = cv.HalfLineGrid(length, n)
             plan = cv.OddConvolver(ker, grid, refine)
@@ -220,7 +221,36 @@ class TestToeplitz:
         c = rng.uniform(-1.0, 1.0, 2 * m + 1)
         v = rng.uniform(-1.0, 1.0, m + 1)
         dense = toeplitz(c[m:], c[m::-1]) @ v   # entry (i, j) is c[m + i - j]
-        np.testing.assert_allclose(cv._Toeplitz(c)(v), dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cv._Toeplitz(c, m + 1)(v), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g, v", [(3, 1), (4, 2), (63, 32), (64, 33),
+                                      (129, 7), (200, 101)])
+    def test_valid_toeplitz_minus_reversed_hankel(self, g, v):
+        # G - V + 1 outputs; non-decaying generators, so any wrap-around
+        # of the circular product into the kept outputs would show
+        rng = np.random.default_rng(g * 1000 + v)
+        c = rng.uniform(-1.0, 1.0, g)
+        b = rng.uniform(-1.0, 1.0, g)
+        x = rng.uniform(-1.0, 1.0, v)
+        t = toeplitz(c[v - 1:], c[v - 1::-1])     # entry (i, j) is c[i + V - 1 - j]
+        hk = hankel(b[:g - v + 1], b[g - v:])     # entry (i, j) is b[i + j]
+        plan = cv._Toeplitz(c, v, hankel=b)
+        assert plan.nfft == next_fast_len(g, real=True)
+        got = plan(x)
+        assert got.shape == (g - v + 1,)
+        np.testing.assert_allclose(got, t @ x - hk @ x, rtol=0, atol=1e-12)
+        # the Hankel term is the second generator's Toeplitz product with
+        # the reversed input
+        t_rev = toeplitz(b[v - 1:], b[v - 1::-1]) @ x[::-1]
+        np.testing.assert_allclose(got, t @ x - t_rev, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 97, 512, 4096])
+    def test_odd_plan_size(self, n):
+        # the end nodes are dropped, so the odd plan's FFT spans 2N - 1
+        # points: 8192 at n = 4096
+        grid = cv.HalfLineGrid(30.0, n)
+        plan = cv.OddConvolver(kk.exponential_kernel(1.0), grid, 8)
+        assert plan._nfft == next_fast_len(2 * n - 1, real=True)
 
 
 class TestSignAndComparison:

@@ -472,6 +472,20 @@ def built(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """Kernels passed to waves.validate_kernel while the test runs."""
+    seen = []
+    validate = wv.validate_kernel
+
+    def counted(kernel, *args, **kwargs):
+        seen.append(kernel)
+        return validate(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(wv, "validate_kernel", counted)
+    return seen
+
+
 def residual_trio(profile, kernel, refine=cv.REFINE_DEFAULT):
     return (wv.pointwise_residual(profile, kernel, refine),
             wv.weak_residual(profile, kernel, refine),
@@ -491,6 +505,26 @@ class TestReuse:
         np.testing.assert_array_equal(reused.samples, fresh.samples)
         assert ((reused.epsilon, reused.g_sup, reused.g_limit, reused.halvings)
                 == (fresh.epsilon, fresh.g_sup, fresh.g_limit, fresh.halvings))
+
+    def test_classify_validates_once(self, validations):
+        rec = wv.classify_shock(EXP1, wv.WaveParams(1.0, -1.0), n=128)
+        assert len(validations) == 1 and validations[0] is EXP1
+        assert rec.profile.subsolution.validation.all_passed
+
+    def test_bare_certificate_still_validates(self, validations):
+        # a certificate from subsolution() alone proves nothing about the
+        # kernel checks, so the solve runs them
+        params = wv.WaveParams(1.0, -1.0)
+        length = wv.default_length(EXP1, params, 128)
+        spec = wv.subsolution(params, EXP1, cv.HalfLineGrid(length, 128))
+        assert spec.validation is None
+        profile, _ = wv.solve_wave(EXP1, params, n=256, length=length,
+                                   certificate=spec)
+        assert len(validations) == 1
+        # the solve's own certificate carries the validation onward
+        wv.solve_wave(EXP1, params, n=512, length=length,
+                      certificate=profile.subsolution)
+        assert len(validations) == 1
 
     def test_residuals_reuse_the_solve_plan(self, built):
         profile, _ = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)

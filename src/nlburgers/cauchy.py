@@ -115,9 +115,9 @@ def _check_far_fields(state: SimState, cfg: SimConfig):
 def _rusanov_flux_diff(u: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
     """F_{j+1/2} - F_{j-1/2} with constant ghost states."""
     ext = np.concatenate([[u_left], u, [u_right]])
-    ul, ur = ext[:-1], ext[1:]
-    speed = np.maximum(np.abs(ul), np.abs(ur))
-    flux = 0.25 * (ul * ul + ur * ur) - 0.5 * speed * (ur - ul)
+    size, square = np.abs(ext), ext * ext
+    speed = np.maximum(size[:-1], size[1:])
+    flux = 0.25 * (square[:-1] + square[1:]) - 0.5 * speed * (ext[1:] - ext[:-1])
     return flux[1:] - flux[:-1]
 
 
@@ -126,9 +126,14 @@ def _explicit_update(u, conv, dt, dx, u_left, u_right):
     return u - (dt / dx) * _rusanov_flux_diff(u, u_left, u_right) + dt * (conv - u)
 
 
-def stable_dt(u: np.ndarray, cfg: SimConfig) -> float:
-    speed = max(float(np.max(np.abs(u))), abs(cfg.u_left), abs(cfg.u_right), 1e-9)
+def _cfl_dt(umax: float, cfg: SimConfig) -> float:
+    """The CFL-limited step for cell averages with max |u| = umax."""
+    speed = max(umax, abs(cfg.u_left), abs(cfg.u_right), 1e-9)
     return min(cfg.cfl * cfg.dx / speed, DT_CAP)
+
+
+def stable_dt(u: np.ndarray, cfg: SimConfig) -> float:
+    return _cfl_dt(float(np.max(np.abs(u))), cfg)
 
 
 def step(state: SimState, cfg: SimConfig, convolver: FullLineConvolver,
@@ -178,8 +183,11 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     step must stay in the max-principle band, widened by BAND_SLACK."""
     _check_far_fields(init, cfg)
     convolver = FullLineConvolver(kernel, init.x)
-    lo = min(cfg.u_left, cfg.u_right, float(np.min(init.u))) - BAND_SLACK
-    hi = max(cfg.u_left, cfg.u_right, float(np.max(init.u))) + BAND_SLACK
+    # the band check's min and max of each state also give the next step's
+    # speed: max |u| = max(mx, -mn) exactly
+    mn, mx = float(np.min(init.u)), float(np.max(init.u))
+    lo = min(cfg.u_left, cfg.u_right, mn) - BAND_SLACK
+    hi = max(cfg.u_left, cfg.u_right, mx) + BAND_SLACK
 
     traj = Trajectory(cfg)
     traj.add(init)
@@ -187,9 +195,10 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     next_snap = cfg.snapshot_interval
     while state.t < cfg.t_end - 1e-12:
         target = min(next_snap, cfg.t_end)
-        dt = min(stable_dt(state.u, cfg), target - state.t)
+        dt = min(_cfl_dt(max(mx, -mn), cfg), target - state.t)
         state = step(state, cfg, convolver, dt)
-        if np.min(state.u) < lo or np.max(state.u) > hi:
+        mn, mx = float(np.min(state.u)), float(np.max(state.u))
+        if mn < lo or mx > hi:
             raise SimulationError(
                 f"cell averages left the sanity band [{lo:.6g}, {hi:.6g}] "
                 f"at t = {state.t:.6g}"

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +290,8 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     # a pool forks all its workers at once: never more than cells or cores
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that runs without a pool skip its ~30 ms import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:

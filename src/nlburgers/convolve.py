@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from ._quad import trapezoid_weights
 from .kernels import Kernel
@@ -116,6 +116,23 @@ def snap_length(kernel: Kernel, length: float, n: int,
 # ----------------------------------------------------------------------
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 5-smooth number 2^a 3^b 5^c >= n: a fast real FFT length."""
+    best = 1
+    while best < n:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            quotient = -(-n // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class _Toeplitz:
     """Valid correlation of a generator c of length G with inputs v of
     length V <= G:
@@ -137,7 +154,7 @@ class _Toeplitz:
     def __init__(self, generator: np.ndarray, size: int,
                  hankel: Optional[np.ndarray] = None):
         self._lo, self._hi = size - 1, generator.size
-        self.nfft = next_fast_len(generator.size, real=True)
+        self.nfft = _fast_length(generator.size)
         self._ft = rfft(generator, self.nfft)
         self._fh = None
         if hankel is not None:

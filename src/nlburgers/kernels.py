@@ -13,16 +13,41 @@ in the convolution module is expressed through Phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from ._quad import refine_segments
 
 # input tolerance for tabulated data (evenness / nonnegativity / unit mass)
 TABLE_TOL = 1e-8
+
+_libm_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _erfc(z):
+    """Complementary error function, elementwise, by the C library's erfc."""
+    return np.asarray(_libm_erfc(z), dtype=float)
+
+
+def _erfcinv(t: float) -> float:
+    """The z >= 0 with erfc(z) = t, for 0 < t <= 1.
+
+    Newton on log erfc from the tail asymptote sqrt(-log t): log erfc is
+    nearly quadratic in z, so at most six steps reach the root for t from
+    1e-300 to 1.  Convergence is quadratic, so a step of a few ulps leaves
+    only rounding behind.
+    """
+    z = math.sqrt(-math.log(t))
+    for _ in range(30):
+        e = math.erfc(z)
+        step = math.log(e / t) * e / (2.0 / math.sqrt(math.pi) * math.exp(-z * z))
+        z += step
+        if abs(step) <= 1e-15 * z:
+            break
+    return z
 
 
 class KernelError(ValueError):
@@ -83,7 +108,7 @@ class Kernel:
             return np.where(x < 0.0, 0.5 * np.exp(a * np.minimum(x, 0.0)),
                             1.0 - 0.5 * np.exp(-a * np.maximum(x, 0.0)))
         if self.family == "gaussian":
-            return 0.5 * erfc(-x / (a * np.sqrt(2.0)))
+            return 0.5 * _erfc(-x / (a * np.sqrt(2.0)))
         if self.family == "uniform":
             return np.clip((x + a) / (2.0 * a), 0.0, 1.0)
         if self.family == "triangular":
@@ -109,7 +134,7 @@ class Kernel:
         if self.family == "exponential":
             return float(np.log(1.0 / tail) / a)
         if self.family == "gaussian":
-            return float(a * np.sqrt(2.0) * erfcinv(tail))
+            return float(a * np.sqrt(2.0) * _erfcinv(tail))
         if self.family in ("uniform", "triangular"):
             return float(a)
         return float(self.table_y[-1])

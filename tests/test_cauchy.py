@@ -147,6 +147,27 @@ class TestSimulate:
             assert abs(change - predicted) <= 10.0 * cfg.dx
             state = new
 
+    def test_steps_by_stable_dt(self):
+        # simulate takes max |u| from its band check's min and max; the
+        # speed must still be stable_dt's, to the bit.  The bumps exceed
+        # both far fields, on each side of zero
+        cfg = cy.SimConfig(a=-30.0, b=30.0, m=300, t_end=0.6, u_left=1.0,
+                           u_right=-1.0, snapshot_interval=0.2)
+        for bump in (2.5, -3.0):
+            init = cy.initial_state(
+                cfg, lambda x: -np.tanh(x) + bump * np.exp(-(x - 5.0) ** 2))
+            traj = cy.simulate(init, EXP1, cfg)
+            conv = FullLineConvolver(EXP1, init.x)
+            state, want = init, [init.u]
+            for target in (0.2, 0.4, 0.6):
+                while state.t < target - 1e-12:
+                    dt = min(cy.stable_dt(state.u, cfg), target - state.t)
+                    state = cy.step(state, cfg, conv, dt)
+                want.append(state.u)
+            assert len(traj.snapshots) == len(want)
+            for got, ref in zip(traj.snapshots, want):
+                assert np.array_equal(got, ref)
+
     def test_flat_data_stays_flat(self):
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=256, t_end=1.0,
                            u_left=0.0, u_right=0.0)

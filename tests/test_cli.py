@@ -1,7 +1,12 @@
 """CLI contract: files, exit codes, determinism, config handling."""
 
 import argparse
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +43,19 @@ def test_write_json_refuses_non_finite(tmp_path):
     with pytest.raises(ValueError):
         cli._write_json({"x": float("inf")}, path)
     assert not path.exists()
+
+
+def test_import_loads_no_scipy_and_no_pool():
+    # a fresh interpreter: this one already holds the test oracles' scipy
+    probe = ("import sys, nlburgers, nlburgers.cli; print(' '.join(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m == 'concurrent.futures.process')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 class TestKernelSpecs:
@@ -274,7 +292,7 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         assert run(["sweep", "--kernels", "exp:k=1", "--amplitudes", "0.6,2.4",
                     "--grid-n", "64", "--workers", "64",

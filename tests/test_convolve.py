@@ -252,6 +252,11 @@ class TestToeplitz:
         plan = cv.OddConvolver(kk.exponential_kernel(1.0), grid, 8)
         assert plan._nfft == next_fast_len(2 * n - 1, real=True)
 
+    def test_fast_length_matches_scipy(self):
+        # the library's 5-smooth length search against SciPy's
+        got = [cv._fast_length(n) for n in range(1, 20001)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 20001)]
+
 
 class TestSignAndComparison:
     def test_weight_sign_property(self):

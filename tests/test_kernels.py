@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from nlburgers import kernels as kk
 from nlburgers._quad import QuadratureError, refine_segments
@@ -18,6 +19,61 @@ def family_suite():
         kk.uniform_kernel(1.0),
         kk.triangular_kernel(1.0),
     ]
+
+
+class TestLibmErfc:
+    """The Gaussian CDF and radius rest on the C library's erfc alone."""
+
+    TINY = np.finfo(float).tiny
+
+    def test_gaussian_cdf_agrees_with_scipy(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        z = -x / np.sqrt(2.0)
+        ref = 0.5 * special.erfc(z)
+        got = kk.gaussian_kernel(1.0).cdf(x)
+        normal = ref >= self.TINY
+        rel = np.abs(got[normal] - ref[normal]) / ref[normal]
+        assert np.all(rel[np.abs(x[normal]) <= 5.0] <= 2e-15)
+        # SciPy's erfc rounds exp(-z^2), so it drifts by up to ~2.5 z^2 ulps
+        # in the far tail; libm does not (see the high-precision check)
+        eps = np.finfo(float).eps
+        assert np.all(rel <= 2e-15 + 3.0 * z[normal] ** 2 * eps)
+        np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0,
+                                   atol=self.TINY)
+
+    def test_erfc_matches_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        # covers the Gaussian CDF's argument on [-40, 40] sigma
+        z = np.linspace(-28.0, 28.0, 2241)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.erfc(mpmath.mpf(float(t)))) for t in z])
+        got = kk._erfc(z)
+        normal = ref >= self.TINY
+        rel = np.abs(got[normal] - ref[normal]) / ref[normal]
+        assert rel.max() <= 1e-15
+        np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0,
+                                   atol=self.TINY)
+
+    def test_gaussian_radius_agrees_with_scipy(self):
+        tails = np.logspace(-16.0, np.log10(0.5), 401)
+        for sigma in (1.0, 2.5):
+            ker = kk.gaussian_kernel(sigma)
+            got = np.array([ker.radius(float(t)) for t in tails])
+            ref = sigma * np.sqrt(2.0) * special.erfcinv(tails)
+            # SciPy's erfcinv is itself up to ~6e-16 from the true root
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+    def test_erfcinv_matches_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        tails = np.concatenate([np.logspace(-16.0, np.log10(0.5), 401),
+                                np.logspace(-300.0, 0.0, 61)])
+        got = np.array([kk._erfcinv(float(t)) for t in tails])
+        assert got[-1] == 0.0   # erfc(0) = 1
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.findroot(
+                lambda z, t=mpmath.mpf(float(t)): mpmath.erfc(z) - t, start))
+                for t, start in zip(tails[:-1], got[:-1])])
+        np.testing.assert_allclose(got[:-1], ref, rtol=4e-16, atol=0)
 
 
 class TestClosedForms:

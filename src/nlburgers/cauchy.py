@@ -13,14 +13,13 @@ the finite-time gradient steepening of generic smooth data.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convolve import FullLineConvolver
 from .kernels import Kernel
-from .waves import WaveProfile
+from .waves import WaveProfile, write_columns
 
 #: hard cap on the explicit step for the stiff-free relaxation term
 DT_CAP = 0.5
@@ -265,9 +264,6 @@ def l1_distance_to_translate(state: SimState, profile: WaveProfile) -> float:
 def write_snapshots_csv(traj: Trajectory, path):
     """Long-format CSV 't,x,u', one row per (snapshot, cell)."""
     x = traj.config.centers()
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t", "x", "u"])
-        for t, u in zip(traj.times, traj.snapshots):
-            for xi, ui in zip(x, u):
-                writer.writerow([repr(float(t)), repr(float(xi)), repr(float(ui))])
+    write_columns(path, ["t", "x", "u"],
+                  [np.repeat(traj.times, x.size), np.tile(x, len(traj.times)),
+                   np.concatenate(traj.snapshots)])

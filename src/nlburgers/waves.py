@@ -26,7 +26,6 @@ bug, not a data point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -153,11 +152,6 @@ class IterationTrace:
     @property
     def iterations(self) -> int:
         return len(self.sup_diffs)
-
-    def rows(self):
-        for i in range(self.iterations):
-            yield (i + 1, self.sup_diffs[i], self.u_at_zero[i],
-                   self.monotone_violations[i], self.ordering_violations[i])
 
 
 @dataclass
@@ -366,10 +360,12 @@ def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
 
     Cell i is the map x -> r_i x + b_i; folding x0 into cell 0 makes its
     map constant.  The round with stride k composes each cell i >= k with
-    the one k before it, c_i += a_i c_{i-k} and a_i *= a_{i-k}, so after
-    ceil(log2 n) rounds c_i = x_{i+1}.  The march has 0 <= r_i <= 1 and
-    b_i >= 0, so every term is nonnegative: nothing overflows or cancels,
-    and a cell with r_i = 0 just cuts off everything before it.
+    the one k before it, c_i += a_i c_{i-k}; cells i < 2k have then reached
+    cell 0, so only a_i with i >= 2k, which later rounds read, take
+    a_i *= a_{i-k}.  After ceil(log2 n) rounds c_i = x_{i+1}.  The march
+    has 0 <= r_i <= 1 and b_i >= 0, so every term is nonnegative: nothing
+    overflows or cancels, and a cell with r_i = 0 just cuts off everything
+    before it.
     """
     n = r.size
     out = np.empty(n + 1)
@@ -380,7 +376,8 @@ def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
     k = 1
     while k < n:
         c[k:] += a[k:] * c[:-k]
-        a[k:] = a[k:] * a[:-k]
+        # not *=: the operands overlap, so numpy would copy one first
+        a[2 * k:] = a[2 * k:] * a[k:-k]
         k *= 2
     return out
 
@@ -740,20 +737,26 @@ def jump_identity(profile: WaveProfile, kernel: Kernel) -> float:
 # ----------------------------------------------------------------------
 
 
+def write_columns(path, header, columns):
+    """Equal-length numeric columns as a header line and one row per index.
+    A cell is the repr of the Python value (never of a numpy scalar), which
+    reads back exactly and holds no comma, quote or newline to escape."""
+    cells = (map(repr, np.asarray(col).tolist()) for col in columns)
+    with open(path, "w", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
 def write_profile_csv(profile: WaveProfile, path):
     """Full-line profile as 'x,U' rows (2N+1 of them)."""
-    x, big_u = profile.full_line()
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "U"])
-        for xi, ui in zip(x, big_u):
-            writer.writerow([repr(float(xi)), repr(float(ui))])
+    write_columns(path, ["x", "U"], profile.full_line())
 
 
 def write_trace_csv(trace: IterationTrace, path):
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "sup_diff", "u_at_zero",
-                         "monotone_violations", "ordering_violations"])
-        for row in trace.rows():
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), row[3], row[4]])
+    """Columns n (sweep number from 1), sup_diff (sup norm of the sweep's
+    change), u_at_zero (origin sample), and monotone_violations and
+    ordering_violations (samples past the INVARIANT_TOL checks)."""
+    write_columns(path, ["n", "sup_diff", "u_at_zero", "monotone_violations",
+                         "ordering_violations"],
+                  [range(1, trace.iterations + 1), trace.sup_diffs, trace.u_at_zero,
+                   trace.monotone_violations, trace.ordering_violations])

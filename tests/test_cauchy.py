@@ -1,5 +1,7 @@
 """Finite-volume validator: steady states, hand-checked step, speed fits."""
 
+import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -276,3 +278,23 @@ class TestProfileCoupling:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,u"
         assert len(lines) == 1 + len(traj.times) * cfg.m
+
+        # a bump on a nonzero floor, so the cells carry full-length digits
+        cfg = dataclasses.replace(cfg, u_left=0.25, u_right=0.25)
+        traj = cy.simulate(cy.initial_state(cfg, lambda x: 0.25 + 0.5 * np.exp(-x * x)),
+                           EXP1, cfg)
+        cy.write_snapshots_csv(traj, path)
+        x = cfg.centers()
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], np.repeat(traj.times, cfg.m))
+        np.testing.assert_array_equal(table[:, 1], np.tile(x, len(traj.times)))
+        np.testing.assert_array_equal(table[:, 2].reshape(-1, cfg.m), traj.snapshots)
+        # the per-row csv.writer loop the writer replaced, as the byte oracle
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="\n") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["t", "x", "u"])
+            for t, u in zip(traj.times, traj.snapshots):
+                for xi, ui in zip(x, u):
+                    writer.writerow([repr(float(t)), repr(float(xi)), repr(float(ui))])
+        assert path.read_bytes() == reference.read_bytes()

@@ -1,5 +1,6 @@
 """The monotone iteration: oracles, invariants, classification, residuals."""
 
+import csv
 import dataclasses
 import tracemalloc
 from fractions import Fraction
@@ -200,18 +201,21 @@ class TestSubsolution:
 
 class TestMarchInternals:
     def test_scan_matches_scalar_recurrence(self):
+        # sizes below, at and just past a power of two
         rng = np.random.default_rng(5)
-        decay = rng.uniform(0.0, 3.0, 400)
-        decay[50] = 500.0     # r ~ 7e-218: the cell all but forgets its past
-        decay[200] = 2e6      # exp underflows, r = 0 cuts off the past
-        r = np.exp(-decay)
-        b = rng.uniform(0.0, 0.1, 400)
-        got = wv._scan(r, b, 0.8)
-        want = np.empty(401)
-        want[0] = 0.8
-        for i in range(400):
-            want[i + 1] = r[i] * want[i] + b[i]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        for n in (400, 1, 2, 3, 4097):
+            decay = rng.uniform(0.0, 3.0, n)
+            if n > 200:
+                decay[50] = 500.0     # r ~ 7e-218: the cell all but forgets its past
+                decay[200] = 2e6      # exp underflows, r = 0 cuts off the past
+            r = np.exp(-decay)
+            b = rng.uniform(0.0, 0.1, n)
+            got = wv._scan(r, b, 0.8)
+            want = np.empty(n + 1)
+            want[0] = 0.8
+            for i in range(n):
+                want[i + 1] = r[i] * want[i] + b[i]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("max_decay", [2.5, 40.0])
     def test_scan_matches_exact_recurrence(self, max_decay):
@@ -646,6 +650,17 @@ class TestResiduals:
             dense_jump_identity(rec.profile, EXP1), abs=1e-6)
 
 
+def csv_module_bytes(path, header, rows):
+    """The bytes of a per-row csv.writer loop over preformatted cells, as
+    the writers produced them before waves.write_columns: the oracle for
+    the CSV files."""
+    with open(path, "w", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
 class TestSerialization:
     def test_profile_csv(self, tmp_path):
         profile, trace = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)
@@ -654,6 +669,28 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,U"
         assert len(lines) == 2 * profile.grid.n + 2
-        wv.write_trace_csv(trace, tmp_path / "trace.csv")
-        header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+        x, big_u = profile.full_line()
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table, np.column_stack([x, big_u]))
+        assert path.read_bytes() == csv_module_bytes(
+            tmp_path / "profile_ref.csv", ["x", "U"],
+            ([repr(float(xi)), repr(float(ui))] for xi, ui in zip(x, big_u)))
+
+        path = tmp_path / "trace.csv"
+        wv.write_trace_csv(trace, path)
+        header = path.read_text().splitlines()[0]
         assert header.startswith("n,sup_diff,u_at_zero")
+        floats = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+        np.testing.assert_array_equal(floats[:, 0], trace.sup_diffs)
+        np.testing.assert_array_equal(floats[:, 1], trace.u_at_zero)
+        ints = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 3, 4),
+                          dtype=int, ndmin=2)
+        np.testing.assert_array_equal(ints, np.column_stack([
+            np.arange(1, trace.iterations + 1), trace.monotone_violations,
+            trace.ordering_violations]))
+        assert path.read_bytes() == csv_module_bytes(
+            tmp_path / "trace_ref.csv",
+            ["n", "sup_diff", "u_at_zero", "monotone_violations", "ordering_violations"],
+            ([i + 1, repr(trace.sup_diffs[i]), repr(trace.u_at_zero[i]),
+              trace.monotone_violations[i], trace.ordering_violations[i]]
+             for i in range(trace.iterations)))

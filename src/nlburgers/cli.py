@@ -3,9 +3,9 @@
 Runs are reproducible: a JSON config file supplies any subset of options,
 explicit flags win over the file, and every output meta JSON embeds the
 fully resolved configuration.  Identical configs produce byte-identical
-output files.  Exit codes: 0 success, 1 error, 2 indeterminate (solver hit
-max_iter, or the classifier could not decide); errors are also written as
-a JSON object to stderr so sweep orchestration can script over failures.
+output files.  Exit codes: 0 success, 1 error (usage errors too), 2
+indeterminate (solver hit max_iter, or the classifier could not decide);
+errors also end stderr with a JSON object, so scripts can parse failures.
 """
 
 from __future__ import annotations
@@ -456,9 +456,21 @@ _FLAG_EXTRAS = {
 }
 
 
+class UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise UsageError; argparse's exit 2 means indeterminate here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flag --foo-bar per defaults key foo_bar, plus --config."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlburgers",
         description="Traveling waves of u_t + u u_x + u - K*u = 0: solver, "
                     "shock classifier, parameter sweeps and a finite-volume "
@@ -476,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    defaults, handler, _ = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        defaults, handler, _ = COMMANDS[args.command]
         cfg = _resolve(args, defaults)
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)

@@ -113,18 +113,17 @@ class WaveParams:
         return self.u_minus - self.u_plus
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubsolutionSpec:
     """arctan comparison function s_sub(x) = -(2 u_c / pi) arctan(eps x).
 
     The certificate g <= 1 depends on the kernel, u_c and L alone, which
-    it records; only the samples belong to one grid.  ``validation`` is
-    the passed kernel check that solve_wave attaches, so a later solve for
-    the same kernel object can skip it.
+    it records; it holds no samples, and ``samples(grid)`` takes them on
+    any grid of [-L, 0].  ``validation`` is the passed kernel check of the
+    solve that returned it, so a later solve given it can skip that check.
     """
 
     epsilon: float
-    samples: np.ndarray      # s_sub at the grid nodes
     g_sup: float             # max of g over the probe grid
     g_limit: float           # x -> 0 limit of g, from the closed form
     halvings: int
@@ -132,6 +131,10 @@ class SubsolutionSpec:
     u_c: float
     length: float
     validation: Optional[KernelValidation] = field(default=None, repr=False)
+
+    def samples(self, grid: HalfLineGrid) -> np.ndarray:
+        """s_sub at the grid nodes."""
+        return (2.0 * self.u_c / np.pi) * np.arctan(-self.epsilon * grid.nodes())
 
 
 @dataclass
@@ -170,7 +173,7 @@ class WaveProfile:
     iterations: int
     final_sup_diff: float
     classification: str = "indeterminate"
-    # what solve_wave built for this grid, kept for reuse by the caller
+    # the solve's grid-free certificate and plan, kept for reuse by the caller
     subsolution: Optional[SubsolutionSpec] = field(default=None, repr=False,
                                                    compare=False)
     convolver: Optional[OddConvolver] = field(default=None, repr=False,
@@ -268,11 +271,6 @@ def _g_profile(quad, u_c: float, eps: float):
     return num / den, limit
 
 
-def _subsolution_samples(u_c: float, eps: float,
-                         grid: HalfLineGrid) -> np.ndarray:
-    return (2.0 * u_c / np.pi) * np.arctan(-eps * grid.nodes())
-
-
 def subsolution(params: WaveParams, kernel: Kernel,
                 grid: HalfLineGrid) -> SubsolutionSpec:
     """Pick eps so the arctan profile is a verified subsolution.
@@ -290,30 +288,13 @@ def subsolution(params: WaveParams, kernel: Kernel,
         g_sup = float(np.max(g))
         if max(g_sup, g_limit) <= 1.0:
             return SubsolutionSpec(
-                epsilon=eps, samples=_subsolution_samples(u_c, eps, grid),
-                g_sup=g_sup, g_limit=g_limit, halvings=halvings,
+                epsilon=eps, g_sup=g_sup, g_limit=g_limit, halvings=halvings,
                 kernel=kernel, u_c=u_c, length=grid.length)
         eps *= 0.5
     raise SubsolutionError(
         f"g(x, eps) stayed above 1 after {SUBSOLUTION_MAX_HALVINGS} halvings; "
         "the kernel violates the finite-second-moment hypothesis in practice"
     )
-
-
-def _resampled(spec: SubsolutionSpec, params: WaveParams, kernel: Kernel,
-               grid: HalfLineGrid) -> SubsolutionSpec:
-    """A certificate moved to another grid: the samples are retaken, eps
-    and the g bounds kept.  ValueError unless it was certified for the
-    same kernel object, u_c and L."""
-    if spec.kernel is not kernel:
-        raise ValueError("subsolution certificate was made for another kernel")
-    if spec.u_c != params.u_c:
-        raise ValueError(f"subsolution certificate was made for u_c = {spec.u_c!r}, "
-                         f"not {params.u_c!r}")
-    if spec.length != grid.length:
-        raise ValueError(f"subsolution certificate was made for L = {spec.length!r}, "
-                         f"not {grid.length!r}")
-    return replace(spec, samples=_subsolution_samples(spec.u_c, spec.epsilon, grid))
 
 
 # ----------------------------------------------------------------------
@@ -445,13 +426,13 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
                certificate: Optional[SubsolutionSpec] = None):
     """Iterate from the supersolution to the wave; returns (profile, trace).
 
-    The profile keeps the subsolution and the convolution plan built for
-    its grid, and the subsolution carries the kernel validation.  A
-    ``certificate`` from an earlier solve with the same kernel, u_c and L
-    is reused in place of a new subsolution search; only its samples are
-    retaken on this grid.  Its validation is reused too when it was made
-    for this kernel object; a certificate without one (from a bare
-    subsolution call) leaves the kernel to be validated here.
+    The profile keeps the convolution plan built for its grid and the
+    subsolution certificate, which carries the kernel validation.  A
+    ``certificate`` from an earlier solve with the same kernel object, u_c
+    and L is reused in place of a new subsolution search, and so is the
+    validation it carries; a certificate without one (from a bare
+    subsolution call) leaves the kernel to be validated here.  The
+    certificate holds no samples: they are taken on this grid.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
     SchemeInvariantError if any ordering invariant fails beyond
@@ -461,16 +442,21 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     ValueError if max_iter < 1 (no sweep leaves no measured sup_diff),
     unless 0 <= tol_iter < inf (inf converges after one sweep, NaN or a
     negative tolerance never does), and for a certificate made for
-    another kernel, u_c or L.
+    another kernel object, u_c or L.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 <= tol_iter < np.inf:
         raise ValueError(f"tol_iter must be finite and nonnegative, got {tol_iter}")
-    if (certificate is not None and certificate.kernel is kernel
-            and certificate.validation is not None):
+    report = None
+    if certificate is not None:
+        if certificate.kernel is not kernel:
+            raise ValueError("subsolution certificate was made for another kernel")
+        if certificate.u_c != params.u_c:
+            raise ValueError(f"subsolution certificate was made for u_c = "
+                             f"{certificate.u_c!r}, not {params.u_c!r}")
         report = certificate.validation
-    else:
+    if report is None:
         report = validate_kernel(kernel)
     if not report.all_passed:
         bad = [k for k, c in report.checks.items() if not c.passed]
@@ -479,15 +465,16 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
         length = default_length(kernel, params, n, refine)
     else:
         length = snap_length(kernel, float(length), n, refine)
+    if certificate is not None and certificate.length != length:
+        raise ValueError(f"subsolution certificate was made for L = "
+                         f"{certificate.length!r}, not {length!r}")
 
     grid = HalfLineGrid(length, n)
     convolver = OddConvolver(kernel, grid, refine)
     if certificate is None:
-        sub = subsolution(params, kernel, grid)
-    else:
-        sub = _resampled(certificate, params, kernel, grid)
-    sub.validation = report
-    u_c = params.u_c
+        certificate = subsolution(params, kernel, grid)
+    sub = replace(certificate, validation=report)
+    floor, ceiling = sub.samples(grid) - INVARIANT_TOL, params.u_c + INVARIANT_TOL
 
     trace = IterationTrace()
     v = supersolution(params, grid)
@@ -498,8 +485,8 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
 
         mono = int(np.count_nonzero(w > v + INVARIANT_TOL))
         mono += int(np.count_nonzero(np.diff(w) > INVARIANT_TOL))
-        ordering = int(np.count_nonzero(w < sub.samples - INVARIANT_TOL))
-        ordering += int(np.count_nonzero(w > u_c + INVARIANT_TOL))
+        ordering = int(np.count_nonzero(w < floor))
+        ordering += int(np.count_nonzero(w > ceiling))
         if np.min(w[:-1]) <= 0.0 or w[-1] < 0.0:
             raise IterateCollapseError("iterate lost positivity")
 

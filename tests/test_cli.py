@@ -58,6 +58,24 @@ def test_import_loads_no_scipy_and_no_pool():
     assert done.stdout.split() == []
 
 
+@pytest.mark.parametrize("argv", [["solve", "--grid-n", "abc"], ["solve", "--bogus", "1"],
+                                  ["simulate", "--init", "nope"], []],
+                         ids=["bad_int", "unknown_flag", "bad_choice", "no_command"])
+def test_usage_error_exit_one_with_json(capsys, argv):
+    # argparse alone would exit 2, the code of an indeterminate run
+    assert run(argv) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert json.loads(last)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        run(argv)
+    assert done.value.code == 0
+    assert "usage: nlburgers" in capsys.readouterr().out
+
+
 class TestKernelSpecs:
     def test_families(self):
         assert cli.parse_kernel_spec("exp:k=2").family == "exponential"
@@ -363,6 +381,32 @@ class TestSimulateCommand:
         assert max(diag["max_slope"]) == 0.0
         lines = (tmp_path / "snapshots.csv").read_text().splitlines()
         assert lines[0] == "t,x,u"
+
+    def test_tanh_init_and_level(self, tmp_path):
+        code = run(["simulate", "--kernel", "exp:k=1", "--u-left", "2",
+                    "--u-right", "0", "--cells", "256", "--t-end", "1",
+                    "--init", "tanh", "--tanh-steepness", "1.5", "--level", "1.5",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        # the front between u = 2 and u = 0 moves at about their mean
+        assert diag["measured_speed"] == pytest.approx(1.0, abs=0.2)
+        assert "measured_speed_error" not in diag
+        t, x, u = np.loadtxt(tmp_path / "snapshots.csv", delimiter=",",
+                             skiprows=1, unpack=True)
+        start = t == 0.0
+        np.testing.assert_allclose(u[start], 1.0 - np.tanh(1.5 * x[start]),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("level", ["2", "-0.5"])
+    def test_level_outside_far_fields_is_reported(self, tmp_path, level):
+        code = run(["simulate", "--kernel", "exp:k=1", "--u-left", "2",
+                    "--u-right", "0", "--cells", "256", "--t-end", "0.5",
+                    "--level", level, "--out-dir", str(tmp_path)])
+        assert code == 0
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert "strictly between the far fields" in diag["measured_speed_error"]
+        assert "measured_speed" not in diag
 
     def test_non_finite_diagnostics_leave_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cy.Trajectory, "slope_growth", lambda self: float("inf"))

@@ -123,9 +123,10 @@ class TestSubsolution:
         grid = cv.HalfLineGrid(46.0, 1024)
         params = wv.WaveParams(1.0, -1.0)
         spec = wv.subsolution(params, EXP1, grid)
-        assert spec.samples[-1] == 0.0          # s_sub(0) = 0
-        assert np.all(np.diff(spec.samples) <= 0.0)
-        assert np.all(spec.samples <= params.u_c)
+        samples = spec.samples(grid)
+        assert samples[-1] == 0.0          # s_sub(0) = 0
+        assert np.all(np.diff(samples) <= 0.0)
+        assert np.all(samples <= params.u_c)
         # arctan tail: |s_sub(x) - u_c| <= 2 u_c / (pi eps |x|)
         x_far = -1e6
         val = (2.0 * params.u_c / np.pi) * np.arctan(-spec.epsilon * x_far)
@@ -384,14 +385,10 @@ class TestSolve:
     def test_iterate_below_subsolution_is_fatal(self, monkeypatch):
         # the per-sweep ordering check is the only consumer of the
         # subsolution samples; a barrier at u_c must trip it on sweep 1
-        certify = wv.subsolution
+        def barrier_at_u_c(spec, grid):
+            return np.full(grid.n + 1, spec.u_c)
 
-        def barrier_at_u_c(params, kernel, grid):
-            spec = certify(params, kernel, grid)
-            spec.samples = np.full(grid.n + 1, params.u_c)
-            return spec
-
-        monkeypatch.setattr(wv, "subsolution", barrier_at_u_c)
+        monkeypatch.setattr(wv.SubsolutionSpec, "samples", barrier_at_u_c)
         with pytest.raises(wv.SchemeInvariantError,
                            match=r"sweep 1: 0 monotonicity and [1-9]\d* ordering"):
             wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
@@ -503,10 +500,11 @@ class TestReuse:
         assert built == {"plans": 3, "certificates": 1}
         # the reused certificate is the one a fresh search finds on the
         # finest grid, samples included
-        fresh = wv.subsolution(params, EXP1, rec.profile.grid)
+        grid = rec.profile.grid
+        fresh = wv.subsolution(params, EXP1, grid)
         reused = rec.profile.subsolution
-        assert reused.samples.shape == (rec.profile.grid.n + 1,)
-        np.testing.assert_array_equal(reused.samples, fresh.samples)
+        assert reused.samples(grid).shape == (grid.n + 1,)
+        np.testing.assert_array_equal(reused.samples(grid), fresh.samples(grid))
         assert ((reused.epsilon, reused.g_sup, reused.g_limit, reused.halvings)
                 == (fresh.epsilon, fresh.g_sup, fresh.g_limit, fresh.halvings))
 
@@ -525,6 +523,11 @@ class TestReuse:
         profile, _ = wv.solve_wave(EXP1, params, n=256, length=length,
                                    certificate=spec)
         assert len(validations) == 1
+        # the solve returns a copy that carries the validation; the
+        # caller's certificate is frozen and stays bare
+        assert spec.validation is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.validation = profile.subsolution.validation
         # the solve's own certificate carries the validation onward
         wv.solve_wave(EXP1, params, n=512, length=length,
                       certificate=profile.subsolution)

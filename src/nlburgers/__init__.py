@@ -35,7 +35,6 @@ from .kernels import (
     build_kernel,
     exponential_kernel,
     gaussian_kernel,
-    moment_quadrature,
     read_kernel_table,
     tabulated_kernel,
     triangular_kernel,

@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from ._quad import trapezoid_weights
 from .kernels import Kernel
 
 #: default subcell refinement of the quadrature grid
@@ -112,8 +111,15 @@ def snap_length(kernel: Kernel, length: float, n: int,
 
 
 # ----------------------------------------------------------------------
-# Toeplitz correlation and column sums
+# weights, Toeplitz correlation and column sums
 # ----------------------------------------------------------------------
+
+
+def trapezoid_weights(m: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights on m + 1 nodes spaced h apart."""
+    w = np.full(m + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 def _fast_length(n: int) -> int:

@@ -3,9 +3,11 @@
 A kernel is an even, nonnegative, unit-mass density K(y) together with its
 cumulative mass Phi(x) = int_{-inf}^x K and its first absolute / second
 moments.  Four analytic families (exponential, gaussian, uniform,
-triangular) carry closed-form densities, CDFs and moments; tabulated
-kernels are piecewise linear in the density with trapezoid-accumulated CDF
-and moment sums.
+triangular) carry closed-form densities, CDFs and moments.  A tabulated
+kernel's density is piecewise linear between its samples, so its constants
+are closed forms too: the CDF is quadratic within each cell, and Simpson's
+rule per cell gives the moments exactly.  No kernel constant comes from
+adaptive quadrature.
 
 The CDF is what makes truncated convolutions cheap: every tail correction
 in the convolution module is expressed through Phi.
@@ -14,12 +16,10 @@ in the convolution module is expressed through Phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from ._quad import refine_segments
 
 # input tolerance for tabulated data (evenness / nonnegativity / unit mass)
 TABLE_TOL = 1e-8
@@ -76,7 +76,6 @@ class Kernel:
     m2: float
     table_y: Optional[np.ndarray] = None
     table_k: Optional[np.ndarray] = None
-    table_cdf: Optional[np.ndarray] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # pointwise data
@@ -116,8 +115,14 @@ class Kernel:
             neg = (a + np.minimum(xc, 0.0)) ** 2 / (2.0 * a * a)
             pos = 1.0 - (a - np.maximum(xc, 0.0)) ** 2 / (2.0 * a * a)
             return np.where(xc <= 0.0, neg, pos)
-        out = np.interp(x, self.table_y, self.table_cdf,
-                        left=0.0, right=float(self.table_cdf[-1]))
+        # exact for the piecewise-linear density: within cell j, at
+        # t = x - y_j, Phi = Phi_j + k_j t + (k_{j+1} - k_j) t^2 / (2 dy_j)
+        y, k = self.table_y, self.table_k
+        dy = np.diff(y)
+        nodes = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * dy)))
+        j = np.clip(np.searchsorted(y, x, side="right") - 1, 0, y.size - 2)
+        t = np.clip(x - y[j], 0.0, dy[j])
+        out = nodes[j] + t * (k[j] + (k[j + 1] - k[j]) * t / (2.0 * dy[j]))
         return np.clip(out, 0.0, 1.0)
 
     # ------------------------------------------------------------------
@@ -177,26 +182,26 @@ def _require_positive(name: str, value: float) -> float:
 def exponential_kernel(k: float) -> Kernel:
     """K(y) = (k/2) exp(-k |y|)."""
     k = _require_positive("rate k", k)
-    return _checked(Kernel("exponential", k, 1.0 / k, 2.0 / k**2))
+    return Kernel("exponential", k, 1.0 / k, 2.0 / k**2)
 
 
 def gaussian_kernel(sigma: float) -> Kernel:
     """Centered normal density with standard deviation sigma."""
     sigma = _require_positive("scale sigma", sigma)
     m1 = float(sigma * np.sqrt(2.0 / np.pi))
-    return _checked(Kernel("gaussian", sigma, m1, sigma**2))
+    return Kernel("gaussian", sigma, m1, sigma**2)
 
 
 def uniform_kernel(a: float) -> Kernel:
     """Top-hat density 1/(2a) on [-a, a]."""
     a = _require_positive("half-width a", a)
-    return _checked(Kernel("uniform", a, 0.5 * a, a * a / 3.0))
+    return Kernel("uniform", a, 0.5 * a, a * a / 3.0)
 
 
 def triangular_kernel(a: float) -> Kernel:
     """Hat density (a - |y|)/a^2 on [-a, a]."""
     a = _require_positive("half-width a", a)
-    return _checked(Kernel("triangular", a, a / 3.0, a * a / 6.0))
+    return Kernel("triangular", a, a / 3.0, a * a / 6.0)
 
 
 def tabulated_kernel(y, k, renormalize: bool = False) -> Kernel:
@@ -249,10 +254,28 @@ def tabulated_kernel(y, k, renormalize: bool = False) -> Kernel:
                 "moment of the underlying kernel is not trustworthy"
             )
 
-    m1 = float(np.trapezoid(np.abs(y) * k, y))
-    m2 = float(np.trapezoid(m2_density, y))
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * dy)))
-    return Kernel("tabulated", 0.0, m1, m2, table_y=y, table_k=k, table_cdf=cdf)
+    m1, m2 = _table_moments(y, k)
+    return Kernel("tabulated", 0.0, m1, m2, table_y=y, table_k=k)
+
+
+def _table_moments(y, k):
+    """m1 and m2 of the piecewise-linear density through (y, k).
+
+    Simpson's rule per cell is exact for the cubic y^2 K, and for the
+    quadratic |y| K on every cell that does not straddle 0.  With an even
+    row count the middle cell does, so it is split there.
+    """
+    if y.size % 2 == 0:
+        mid = y.size // 2
+        y = np.insert(y, mid, 0.0)
+        k = np.insert(k, mid, 0.5 * (k[mid - 1] + k[mid]))
+    ym, km = 0.5 * (y[1:] + y[:-1]), 0.5 * (k[1:] + k[:-1])
+
+    def simpson(power):
+        f, fm = np.abs(y) ** power * k, np.abs(ym) ** power * km
+        return float(np.sum(np.diff(y) * (f[:-1] + 4.0 * fm + f[1:])) / 6.0)
+
+    return simpson(1), simpson(2)
 
 
 #: spellings of the one-parameter families: (builder, parameter name)
@@ -278,44 +301,9 @@ def build_kernel(family: str, **params) -> Kernel:
     return builder(params[name])
 
 
-def _checked(kernel: Kernel) -> Kernel:
-    """Closed-form moments must agree with quadrature of the density."""
-    m1q, m2q = moment_quadrature(kernel)
-    for name, closed, quad in (("m1", kernel.m1, m1q), ("m2", kernel.m2, m2q)):
-        if abs(closed - quad) > 1e-10 * abs(closed):
-            raise KernelError(
-                f"{kernel.family} kernel {name} closed form {closed!r} "
-                f"disagrees with quadrature {quad!r}"
-            )
-    return kernel
-
-
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-
-def _quadrature_edges(kernel: Kernel):
-    """[0, R] with R the 1e-14 mass radius, split at density breakpoints."""
-    r = kernel.radius(1e-14)
-    return sorted({0.0, r, *(b for b in kernel.breakpoints() if 0.0 < b < r)})
-
-
-def moment_quadrature(kernel: Kernel):
-    """Moments recomputed by adaptive quadrature; the oracle path.
-
-    Integrates over the half line up to the 1e-14 mass radius and doubles
-    (evenness).  Independent of the closed forms.
-    """
-    edges = _quadrature_edges(kernel)
-    m1 = 2.0 * refine_segments(lambda y: y * kernel.density(y), edges)
-    m2 = 2.0 * refine_segments(lambda y: y * y * kernel.density(y), edges)
-    return m1, m2
-
-
-def mass_quadrature(kernel: Kernel) -> float:
-    """Total mass recomputed by adaptive quadrature over the 1e-14 radius."""
-    return 2.0 * refine_segments(kernel.density, _quadrature_edges(kernel))
 
 
 @dataclass
@@ -357,7 +345,12 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
     scale = max(float(np.max(ky)), 1e-300)
     nonneg_worst = float(max(0.0, -min(np.min(ky), np.min(kny))))
 
-    mass = mass_quadrature(kernel)
+    # both exact; a table's CDF is clipped to 1, so its span would hide
+    # excess mass, while the trapezoid sum integrates the density itself
+    if kernel.family == "tabulated":
+        mass = float(np.trapezoid(kernel.table_k, kernel.table_y))
+    else:
+        mass = float(kernel.cdf(r) - kernel.cdf(-r))
     mass_worst = float(abs(mass + kernel.tail_mass(r) - 1.0))
 
     # y[1:] are the positive probes, since y[0] = 0 < r

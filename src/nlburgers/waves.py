@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._quad import trapezoid_weights
 from .convolve import (
     REFINE_DEFAULT,
     SOLVER_TAIL_TOL,
@@ -40,6 +39,7 @@ from .convolve import (
     HalfLineGrid,
     OddConvolver,
     snap_length,
+    trapezoid_weights,
 )
 from .kernels import Kernel, KernelError, KernelValidation, validate_kernel
 

@@ -1,30 +1,23 @@
-"""Quadrature helpers: composite trapezoid weights, and the adaptive
-routine used by the oracle paths.
+"""Adaptive quadrature oracles for the test suite.
 
-The adaptive routine refines composite midpoint sums by repeated interval
-halving and accelerates them with a Romberg table.  The midpoint rule is
-open: segment endpoints are never evaluated, so integrands may jump at the
-supplied edges (kernel support boundaries, interpolation kinks).  Within a
-segment the integrand must be smooth enough for an even-power error
-expansion, which is what makes the Richardson acceleration valid.
+The package computes every kernel constant from a closed form; these
+routines recompute them from the density alone, independently of those
+formulas.  ``refine_segments`` refines composite midpoint sums by
+repeated interval halving and accelerates them with a Romberg table.  The
+midpoint rule is open: segment endpoints are never evaluated, so
+integrands may jump at the supplied edges (kernel support boundaries,
+interpolation kinks).  Within a segment the integrand must be smooth
+enough for an even-power error expansion, which is what makes the
+Richardson acceleration valid.
 
 Integrands are expected to be vectorized (ndarray -> ndarray).
 """
-
-from __future__ import annotations
 
 import numpy as np
 
 
 class QuadratureError(RuntimeError):
     """Refinement failed to converge, or the integrand gave a non-finite sum."""
-
-
-def trapezoid_weights(m: int, h: float) -> np.ndarray:
-    """Composite trapezoid weights on m + 1 nodes spaced h apart."""
-    w = np.full(m + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
 
 
 def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24):
@@ -79,3 +72,38 @@ def refine_segments(f, edges, rtol=1e-12, atol=1e-13, max_levels=24):
         f"quadrature did not converge in {max_levels} refinement levels "
         f"(last increment {abs(diag[-1] - diag[-2]):.3e})"
     )
+
+
+def quadrature_edges(kernel):
+    """[0, R] with R the 1e-14 mass radius, split at density breakpoints."""
+    r = kernel.radius(1e-14)
+    return sorted({0.0, r, *(b for b in kernel.breakpoints() if 0.0 < b < r)})
+
+
+def moment_quadrature(kernel):
+    """m1 and m2 by adaptive quadrature of the density.
+
+    Integrates over the half line up to the 1e-14 mass radius and doubles
+    (evenness).  Independent of the closed forms.
+    """
+    edges = quadrature_edges(kernel)
+    m1 = 2.0 * refine_segments(lambda y: y * kernel.density(y), edges)
+    m2 = 2.0 * refine_segments(lambda y: y * y * kernel.density(y), edges)
+    return m1, m2
+
+
+def mass_quadrature(kernel):
+    """Total mass by adaptive quadrature over the 1e-14 radius."""
+    return 2.0 * refine_segments(kernel.density, quadrature_edges(kernel))
+
+
+def cdf_quadrature(kernel, x):
+    """Phi(x) by adaptive quadrature of the density from -R, with the
+    kernel's breakpoints (every node of a table) as segment edges."""
+    r = kernel.radius(1e-14)
+    if x <= -r:
+        return 0.0
+    cuts = {-r, min(x, r)}
+    cuts.update(s * b for b in kernel.breakpoints() for s in (-1.0, 1.0))
+    edges = sorted(c for c in cuts if -r <= c <= min(x, r))
+    return refine_segments(kernel.density, edges)

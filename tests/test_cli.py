@@ -468,15 +468,20 @@ class TestKernelValidateCommand:
                                           "unit_mass", "monotone_decay",
                                           "finite_m2"}
 
-    def test_failed_finite_m2_is_written(self, tmp_path):
-        # m1 = m2 = 0: the report still says which check failed, and by what
-        table = tmp_path / "t.csv"
-        table.write_text("-1,0\n0,1\n1,0\n")
-        code = run(["kernel-validate", "--kernel", f"table:{table}:renorm",
+    def test_failed_check_is_written(self, tmp_path):
+        # peaks at +-2: the report still says which check failed, and by
+        # what (the density's rise of 2 over one probe step of 3/255)
+        y = np.arange(-6, 7) * 0.5
+        table = tmp_path / "bimodal.csv"
+        table.write_text("".join(f"{v:g},{float(abs(v) == 2.0):g}\n" for v in y))
+        code = run(["kernel-validate", "--kernel", f"table:{table}",
                     "--out-dir", str(tmp_path)])
         assert code == 1
         payload = json.loads((tmp_path / "kernel_validation.json").read_text())
-        assert payload["checks"]["finite_m2"] == {"passed": False, "worst": 0.0}
+        failed = {name for name, c in payload["checks"].items() if not c["passed"]}
+        assert failed == {"monotone_decay"}
+        assert payload["checks"]["monotone_decay"]["worst"] == pytest.approx(
+            6.0 / 255.0, rel=1e-12)
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         assert run(["kernel-validate", "--kernel", "exp:k=-1",

@@ -11,7 +11,20 @@ from scipy.linalg import hankel, toeplitz
 
 from nlburgers import convolve as cv
 from nlburgers import kernels as kk
-from nlburgers._quad import refine_segments, trapezoid_weights
+from nlburgers.convolve import trapezoid_weights
+from oracles import refine_segments
+
+
+def triangle_table_kernel():
+    """tri:a=1 as a 21-row table, kinks on the nodes."""
+    y = np.linspace(-1.0, 1.0, 21)
+    return kk.tabulated_kernel(y, np.maximum(1.0 - np.abs(y), 0.0))
+
+
+def exponential_table_kernel():
+    """exp:k=1 sampled every 0.1 on [-8, 8], renormalized."""
+    y = np.linspace(-8.0, 8.0, 161)
+    return kk.tabulated_kernel(y, 0.5 * np.exp(-np.abs(y)), renormalize=True)
 
 
 def step_field(grid, u_c=1.0):
@@ -181,6 +194,15 @@ class TestOddConvolve:
             tracemalloc.stop()
         assert peak <= 1 << 20
 
+    def test_triangle_table_is_the_triangular_family(self):
+        # the table's exact CDF enters the far-field row, so the two plans
+        # agree to rounding
+        grid = cv.HalfLineGrid(30.0, 512)
+        field = iterate_like_field(grid, 1.3)
+        table = cv.OddConvolver(triangle_table_kernel(), grid).apply_values(field, 1.3)
+        family = cv.OddConvolver(kk.triangular_kernel(1.0), grid).apply_values(field, 1.3)
+        np.testing.assert_allclose(table, family, rtol=0, atol=1e-14)
+
     def test_tail_precondition(self):
         with pytest.raises(cv.GridKernelError):
             cv.OddConvolver(kk.exponential_kernel(1.0), cv.HalfLineGrid(20.0, 256))
@@ -192,7 +214,10 @@ class TestFastVsDirect:
         kk.gaussian_kernel(1.0),
         kk.uniform_kernel(1.0),
         kk.triangular_kernel(1.0),
-    ], ids=lambda k: k.family)
+        triangle_table_kernel(),
+        exponential_table_kernel(),
+    ], ids=["exponential", "gaussian", "uniform", "triangular", "table-tri",
+            "table-exp"])
     def test_agreement(self, ker):
         for n, refine in ((512, 4), (1024, 8), (96, 8), (243, 3)):
             length = cv.snap_length(ker, 30.0, n, refine)
@@ -331,6 +356,20 @@ class TestBruteForce:
         out = cv.OddConvolver(ker, grid, refine).apply_values(field, 1.0)
         x = grid.nodes()
         for i in (50, 256, 430, 505):
+            oracle = brute_force_convolve(ker, grid, field, 1.0, float(x[i]))
+            assert abs(out[i] - oracle) <= 1e-6
+
+    @pytest.mark.parametrize("ker", [triangle_table_kernel(),
+                                     exponential_table_kernel()],
+                             ids=["table-tri", "table-exp"])
+    def test_table_kernel_nodes_handled(self, ker):
+        # L = 25.6 puts every table node on the fine grid; the grid path's
+        # O(h^2) trapezoid error is about 1e-6 at n = 512, so take 1024
+        grid = cv.HalfLineGrid(25.6, 1024)
+        field = iterate_like_field(grid, 1.0)
+        out = cv.OddConvolver(ker, grid, 8).apply_values(field, 1.0)
+        x = grid.nodes()
+        for i in (100, 512, 860, 1010):
             oracle = brute_force_convolve(ker, grid, field, 1.0, float(x[i]))
             assert abs(out[i] - oracle) <= 1e-6
 

@@ -1,4 +1,5 @@
-"""Kernel families: closed forms vs the quadrature oracle, hypotheses checks."""
+"""Kernel families and tables: closed forms vs the quadrature oracle,
+hypotheses checks."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 from scipy import special
 
 from nlburgers import kernels as kk
-from nlburgers._quad import QuadratureError, refine_segments
+from oracles import (
+    QuadratureError,
+    cdf_quadrature,
+    mass_quadrature,
+    moment_quadrature,
+    quadrature_edges,
+    refine_segments,
+)
 
 
 def family_suite():
@@ -97,20 +105,20 @@ class TestClosedForms:
 
     def test_uniform_second_moment_vs_oracle(self):
         ker = kk.uniform_kernel(1.0)
-        m1q, m2q = kk.moment_quadrature(ker)
+        m1q, m2q = moment_quadrature(ker)
         assert ker.m2 == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert m2q == pytest.approx(ker.m2, rel=1e-10)
 
     @pytest.mark.parametrize("ker", family_suite(), ids=lambda k: f"{k.family}-{k.param}")
     def test_moments_match_quadrature(self, ker):
-        m1q, m2q = kk.moment_quadrature(ker)
+        m1q, m2q = moment_quadrature(ker)
         assert m1q == pytest.approx(ker.m1, rel=1e-10)
         assert m2q == pytest.approx(ker.m2, rel=1e-10)
 
     @pytest.mark.parametrize("ker", family_suite(), ids=lambda k: f"{k.family}-{k.param}")
     def test_mass_quadrature_consistency(self, ker):
         r = ker.radius(1e-13)
-        mass = kk.mass_quadrature(ker)
+        mass = mass_quadrature(ker)
         span = float(ker.cdf(r) - ker.cdf(-r))
         assert abs(mass - span) <= 1e-10
 
@@ -151,6 +159,8 @@ class TestValidation:
     def test_families_pass(self, ker):
         report = kk.validate_kernel(ker, 256)
         assert report.all_passed
+        # the mass is the CDF span, so only rounding is left
+        assert report.checks["unit_mass"].worst <= 4.0 * np.finfo(float).eps
 
     def test_probe_count_floor(self):
         with pytest.raises(ValueError):
@@ -160,9 +170,7 @@ class TestValidation:
         y = np.linspace(-6.0, 6.0, 601)
         vals = 0.5 * np.exp(-np.abs(y))
         vals[300] = -1e-3  # defect at y = 0, symmetric by construction
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(y))))
-        bad = kk.Kernel("tabulated", 0.0, 1.0, 2.0, table_y=y, table_k=vals,
-                        table_cdf=cdf)
+        bad = kk.Kernel("tabulated", 0.0, 1.0, 2.0, table_y=y, table_k=vals)
         report = kk.validate_kernel(bad, 256)
         check = report.checks["nonnegativity"]
         assert not check.passed
@@ -177,6 +185,16 @@ class TestValidation:
         for ker in (kk.exponential_kernel(1.0), kk.gaussian_kernel(1.0),
                     kk.triangular_kernel(1.0)):
             assert kk.validate_kernel(ker, 256).density_continuous
+
+    def test_mass_defect_of_a_direct_table_is_reported(self):
+        # tabulated_kernel refuses this table; a Kernel built directly is
+        # caught by validation, through the exact trapezoid mass
+        y = np.linspace(-1.0, 1.0, 21)
+        bad = kk.Kernel("tabulated", 0.0, 1.0 / 3.0, 1.0 / 6.0, table_y=y,
+                        table_k=1.05 * (1.0 - np.abs(y)))
+        check = kk.validate_kernel(bad, 256).checks["unit_mass"]
+        assert not check.passed
+        assert check.worst == pytest.approx(0.05, rel=1e-12)
 
 
 class TestBuilders:
@@ -244,7 +262,7 @@ class TestTabulated:
         ker = kk.tabulated_kernel(y, vals, renormalize=True)
         nodes = y[y >= 0.0]
         assert ker.breakpoints() == tuple(nodes)
-        assert kk._quadrature_edges(ker) == sorted({0.0, *nodes})
+        assert quadrature_edges(ker) == sorted({0.0, *nodes})
 
     def test_divergent_tail_rejected(self):
         y = np.linspace(-50.0, 50.0, 4001)
@@ -260,6 +278,68 @@ class TestTabulated:
         np.testing.assert_allclose(v2, vals, rtol=1e-15)
         ker = kk.tabulated_kernel(y2, v2, renormalize=True)
         assert kk.validate_kernel(ker, 128).all_passed
+
+
+def triangle_table(rows=21, half_width=1.0):
+    """The hat (1 - |y|)^+ sampled on [-w, w], with kinks on the nodes."""
+    y = np.linspace(-half_width, half_width, rows)
+    return y, np.maximum(1.0 - np.abs(y), 0.0)
+
+
+@st.composite
+def decaying_tables(draw):
+    """Even tables, nonincreasing in |y| and zero at the edge, of either
+    row parity; renormalized to unit mass by the caller."""
+    count = draw(st.integers(2, 12))         # samples on y > 0 (or y >= 0)
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=count - 1,
+                           max_size=count - 1))
+    half = np.append(np.sort(levels)[::-1], 0.0)
+    half[0] += 0.1                            # a positive peak
+    dy = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):                   # odd: a node at y = 0
+        k = np.concatenate([half[:0:-1], half])
+    else:
+        k = np.concatenate([half[::-1], half])
+    y = (np.arange(k.size) - 0.5 * (k.size - 1)) * dy
+    return y, k
+
+
+class TestExactTable:
+    """A table's density is piecewise linear, so its CDF and moments are
+    closed forms; the quadrature oracle and the triangular family agree."""
+
+    TRI = kk.triangular_kernel(1.0)
+
+    @pytest.mark.parametrize("rows, half_width", [(21, 1.0), (41, 2.0), (7, 1.5)])
+    def test_triangle_table_is_the_triangular_family(self, rows, half_width):
+        ker = kk.tabulated_kernel(*triangle_table(rows, half_width))
+        x = np.linspace(-2.5, 2.5, 5001)
+        np.testing.assert_allclose(ker.cdf(x), self.TRI.cdf(x), rtol=0, atol=4e-16)
+        assert ker.m1 == pytest.approx(1.0 / 3.0, rel=4e-16)
+        assert ker.m2 == pytest.approx(1.0 / 6.0, rel=4e-16)
+
+    def test_even_row_count_splits_the_middle_cell(self):
+        # 0 is not a node, and |y| K has its kink inside the middle cell
+        y = (np.arange(8) - 3.5) * 0.5
+        k = np.maximum(2.0 - np.abs(y), 0.0)
+        ker = kk.tabulated_kernel(y, k, renormalize=True)
+        m1, m2 = moment_quadrature(ker)
+        assert ker.m1 == pytest.approx(m1, rel=1e-12)
+        assert ker.m2 == pytest.approx(m2, rel=1e-12)
+
+    @given(table=decaying_tables(), probes=st.lists(st.floats(-1.2, 1.2),
+                                                    min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_decaying_tables_match_the_oracle(self, table, probes):
+        y, k = table
+        ker = kk.tabulated_kernel(y, k, renormalize=True)
+        m1, m2 = moment_quadrature(ker)
+        assert ker.m1 == pytest.approx(m1, rel=1e-10)
+        assert ker.m2 == pytest.approx(m2, rel=1e-10)
+        for t in probes:
+            x = t * y[-1]
+            assert abs(float(ker.cdf(x)) - cdf_quadrature(ker, x)) <= 1e-12
+        assert kk.validate_kernel(ker, 64).checks["unit_mass"].passed
 
 
 class TestAdaptiveQuadrature:

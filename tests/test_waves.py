@@ -393,6 +393,26 @@ class TestSolve:
                            match=r"sweep 1: 0 monotonicity and [1-9]\d* ordering"):
             wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
 
+    @pytest.mark.parametrize("u_c, message", [
+        (0.25, "sweep 1: 0 monotonicity and 15 ordering violations"),
+        (1.0, "sweep 2: 21 monotonicity and 0 ordering violations"),
+    ])
+    def test_monotone_decay_is_load_bearing(self, u_c, message):
+        # peaks at +-2: the kernel fails monotone_decay alone.  A validation
+        # forced to pass lets the solver run on it, and an invariant breaks
+        y = np.arange(-6, 7) * 0.5
+        kernel = kk.tabulated_kernel(y, (np.abs(y) == 2.0).astype(float))
+        report = kk.validate_kernel(kernel)
+        assert [k for k, c in report.checks.items() if not c.passed] == ["monotone_decay"]
+        forced = dataclasses.replace(report, checks={
+            **report.checks, "monotone_decay": kk.CheckResult(True, 0.0)})
+        params, n = wv.WaveParams(u_c, -u_c), 1024
+        grid = cv.HalfLineGrid(wv.default_length(kernel, params, n), n)
+        certificate = dataclasses.replace(wv.subsolution(params, kernel, grid),
+                                          validation=forced)
+        with pytest.raises(wv.SchemeInvariantError, match=message):
+            wv.solve_wave(kernel, params, n=n, certificate=certificate)
+
     def test_sup_diffs_are_nonincreasing(self):
         _, trace = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)
         assert np.all(np.diff(trace.sup_diffs[1:]) <= 1e-12)
@@ -403,9 +423,7 @@ class TestSolve:
         y = np.linspace(-6.0, 6.0, 601)
         vals = 0.5 * np.exp(-np.abs(y))
         vals[300] = -1e-3
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(y))))
-        bad = kk.Kernel("tabulated", 0.0, 1.0, 2.0, table_y=y, table_k=vals,
-                        table_cdf=cdf)
+        bad = kk.Kernel("tabulated", 0.0, 1.0, 2.0, table_y=y, table_k=vals)
         with pytest.raises(kk.KernelError):
             solver(bad, wv.WaveParams(1.0, -1.0), n=512)
 

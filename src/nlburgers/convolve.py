@@ -95,8 +95,10 @@ def snap_length(kernel: Kernel, length: float, n: int,
     coarse nodes of this grid and of its x2 and x4 refinements, so a jump
     never sits exactly on a domain endpoint during classification.
     """
+    if kernel.family == "tabulated":
+        return length
     bps = [b for b in kernel.breakpoints() if b > 0.0]
-    if not bps or kernel.family == "tabulated":
+    if not bps:
         return length
     a = max(bps)
     exact = a * refine * n / length

@@ -22,6 +22,24 @@ The iterates decrease pointwise, stay nonincreasing in x, and remain
 pinched between the arctan subsolution and u_c; the solver enforces all
 of that at 1e-10 every sweep and treats a violation as a discretization
 bug, not a data point.
+
+The plain iteration converges linearly, at a rate that nears 1 for small
+amplitudes.  After two consecutive sweeps v_{k-1} -> v_k -> v_{k+1} whose
+sup changes satisfy d_k > d_{k+1} > 0, the solver extrapolates along the
+last descent step (Brezinski & Redivo-Zaglia, Extrapolation Methods, 1991):
+with rho = d_{k+1}/d_k the candidate is
+
+    v_{k+1} - theta rho/(1 - rho) (v_k - v_{k+1}),   theta = 0.7,
+
+which takes most of the geometric tail of the dominant error mode in one
+step.  The previous sweep's check proved v_k - v_{k+1} >= 0, so the
+candidate moves down only.  It is swept only if it passes every check of
+an iterate (finite, nonincreasing, above the positivity floor, inside the
+bracket, at most v_{k+1}), and kept only if that sweep passes every check
+of a plain sweep; otherwise the candidate and its sweep are discarded and
+the next sweep runs plainly from v_{k+1}.  So every accepted iterate still
+descends and stays inside the bracket at 1e-10, and every swept candidate
+counts as a sweep.
 """
 
 from __future__ import annotations
@@ -48,6 +66,14 @@ FLOOR_DELTA = 1e-12
 
 #: tolerance for the per-sweep ordering checks
 INVARIANT_TOL = 1e-10
+
+#: share of the geometric tail an extrapolated candidate takes; see the
+#: module docstring
+EXTRAPOLATION_THETA = 0.7
+
+#: kinds of trace row: a plain sweep, a sweep from an accepted candidate,
+#: and a discarded candidate's sweep
+PLAIN_SWEEP, CANDIDATE_SWEEP, DISCARDED_CANDIDATE = 0, 1, 2
 
 # refinement-ratio thresholds for the jump classifier; a discontinuous tag
 # additionally requires the jump to clear this many quadrature cells
@@ -139,18 +165,23 @@ class SubsolutionSpec:
 
 @dataclass
 class IterationTrace:
-    """Per-sweep diagnostics of the descending iteration."""
+    """Per-sweep diagnostics of the descending iteration: one row per
+    computed sweep, its kind PLAIN_SWEEP, CANDIDATE_SWEEP or
+    DISCARDED_CANDIDATE.  The violation counts describe accepted iterates
+    only, so a discarded candidate's row holds 0 in both."""
 
     sup_diffs: list = field(default_factory=list)
     u_at_zero: list = field(default_factory=list)
     monotone_violations: list = field(default_factory=list)
     ordering_violations: list = field(default_factory=list)
+    kinds: list = field(default_factory=list)
 
-    def record(self, sup_diff, u0, mono, ordering):
+    def record(self, sup_diff, u0, mono, ordering, kind):
         self.sup_diffs.append(float(sup_diff))
         self.u_at_zero.append(float(u0))
         self.monotone_violations.append(int(mono))
         self.ordering_violations.append(int(ordering))
+        self.kinds.append(int(kind))
 
     @property
     def iterations(self) -> int:
@@ -409,6 +440,22 @@ def iterate_once(values: np.ndarray, params: WaveParams,
 # ----------------------------------------------------------------------
 
 
+def _admissible(candidate: np.ndarray, v: np.ndarray, floor: np.ndarray,
+                ceiling: float) -> bool:
+    """Whether an extrapolated candidate may replace the iterate v: every
+    check iterate_once and the sweep checks apply to an iterate (finite,
+    nonincreasing, interior at or above FLOOR_DELTA, origin nonnegative,
+    inside [floor, ceiling]) and, so the sequence keeps descending, at most
+    v + INVARIANT_TOL."""
+    return bool(np.all(np.isfinite(candidate))
+                and np.max(np.diff(candidate)) <= INVARIANT_TOL
+                and np.min(candidate[:-1]) >= FLOOR_DELTA
+                and candidate[-1] >= 0.0
+                and np.all(candidate >= floor)
+                and np.max(candidate) <= ceiling
+                and np.all(candidate <= v + INVARIANT_TOL))
+
+
 def default_length(kernel: Kernel, params: WaveParams, n: int = 4096,
                    refine: int = REFINE_DEFAULT) -> float:
     """Truncation length: 25 max(1, sqrt(M2), u_c), enlarged so the kernel
@@ -433,6 +480,11 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     validation it carries; a certificate without one (from a bare
     subsolution call) leaves the kernel to be validated here.  The
     certificate holds no samples: they are taken on this grid.
+
+    Sweeps from extrapolated candidates (see the module docstring) count
+    toward ``max_iter`` and the trace like plain sweeps; a discarded
+    candidate's sweep has a trace row of kind DISCARDED_CANDIDATE and never
+    becomes an iterate.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
     SchemeInvariantError if any ordering invariant fails beyond
@@ -477,27 +529,42 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     floor, ceiling = sub.samples(grid) - INVARIANT_TOL, params.u_c + INVARIANT_TOL
 
     trace = IterationTrace()
-    v = supersolution(params, grid)
+    # sup_diff is the change of the sweep that made v, back that sweep's
+    # input and back_diff the change of the sweep that made back; both
+    # diffs are None where no sweep made the array (the supersolution, a
+    # candidate)
+    v, sup_diff = supersolution(params, grid), None
+    back, back_diff = None, None
     converged = False
-    sup_diff = np.inf
-    for _ in range(max_iter):
-        w = iterate_once(v, params, convolver)
-
-        mono = int(np.count_nonzero(w > v + INVARIANT_TOL))
+    while trace.iterations < max_iter:
+        start, kind = v, PLAIN_SWEEP
+        if back_diff is not None and back_diff > sup_diff > 0.0:
+            rho = sup_diff / back_diff
+            candidate = v - (EXTRAPOLATION_THETA * rho / (1.0 - rho)) * (back - v)
+            if _admissible(candidate, v, floor, ceiling):
+                start, kind = candidate, CANDIDATE_SWEEP
+        w = iterate_once(start, params, convolver)
+        mono = int(np.count_nonzero(w > start + INVARIANT_TOL))
         mono += int(np.count_nonzero(np.diff(w) > INVARIANT_TOL))
         ordering = int(np.count_nonzero(w < floor))
         ordering += int(np.count_nonzero(w > ceiling))
-        if np.min(w[:-1]) <= 0.0 or w[-1] < 0.0:
+        positive = np.min(w[:-1]) > 0.0 and w[-1] >= 0.0
+        diff = float(np.max(np.abs(w - start)))
+        if kind == CANDIDATE_SWEEP and (mono or ordering or not positive):
+            # not an iterate: v stays, and the next sweep is plain from it
+            trace.record(diff, w[-1], 0, 0, DISCARDED_CANDIDATE)
+            back_diff = None
+            continue
+        if not positive:
             raise IterateCollapseError("iterate lost positivity")
-
-        sup_diff = float(np.max(np.abs(w - v)))
-        trace.record(sup_diff, w[-1], mono, ordering)
+        trace.record(diff, w[-1], mono, ordering, kind)
         if mono or ordering:
             raise SchemeInvariantError(
                 f"sweep {trace.iterations}: {mono} monotonicity and "
                 f"{ordering} ordering violations above {INVARIANT_TOL:.0e}"
             )
-        v = w
+        back, back_diff = start, (sup_diff if kind == PLAIN_SWEEP else None)
+        v, sup_diff = w, diff
         if sup_diff <= tol_iter:
             converged = True
             break
@@ -741,9 +808,11 @@ def write_profile_csv(profile: WaveProfile, path):
 
 def write_trace_csv(trace: IterationTrace, path):
     """Columns n (sweep number from 1), sup_diff (sup norm of the sweep's
-    change), u_at_zero (origin sample), and monotone_violations and
-    ordering_violations (samples past the INVARIANT_TOL checks)."""
+    change), u_at_zero (origin sample of its output), monotone_violations
+    and ordering_violations (samples past the INVARIANT_TOL checks; 0 on a
+    discarded candidate's row, which is not an iterate), and kind (0 plain
+    sweep, 1 sweep from an accepted candidate, 2 discarded candidate)."""
     write_columns(path, ["n", "sup_diff", "u_at_zero", "monotone_violations",
-                         "ordering_violations"],
+                         "ordering_violations", "kind"],
                   [range(1, trace.iterations + 1), trace.sup_diffs, trace.u_at_zero,
-                   trace.monotone_violations, trace.ordering_violations])
+                   trace.monotone_violations, trace.ordering_violations, trace.kinds])

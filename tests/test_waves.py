@@ -413,6 +413,19 @@ class TestSolve:
         with pytest.raises(wv.SchemeInvariantError, match=message):
             wv.solve_wave(kernel, params, n=n, certificate=certificate)
 
+    def test_table_solve_reads_no_breakpoints(self, monkeypatch):
+        # a table keeps its length, so snapping must not build the tuple of
+        # its kinks first
+        y = np.linspace(-1.0, 1.0, 21)
+        kernel = kk.tabulated_kernel(y, 1.0 - np.abs(y))
+
+        def refuse(self):
+            raise AssertionError("breakpoints read for a table")
+
+        monkeypatch.setattr(kk.Kernel, "breakpoints", refuse)
+        profile, _ = wv.solve_wave(kernel, wv.WaveParams(1.0, -1.0), n=256)
+        assert profile.converged
+
     def test_sup_diffs_are_nonincreasing(self):
         _, trace = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)
         assert np.all(np.diff(trace.sup_diffs[1:]) <= 1e-12)
@@ -442,6 +455,90 @@ class TestSolve:
         # tolerance would run every sweep and never converge
         with pytest.raises(ValueError, match="tol_iter"):
             solver(EXP1, wv.WaveParams(1.0, -1.0), n=64, tol_iter=tol, max_iter=20)
+
+
+def captured_sweeps(monkeypatch):
+    """Wrap iterate_once so each call's (input, output) is appended to the
+    returned list."""
+    calls = []
+    plain = wv.iterate_once
+
+    def capture(values, params, convolver):
+        out = plain(values, params, convolver)
+        calls.append((np.array(values), out))
+        return out
+
+    monkeypatch.setattr(wv, "iterate_once", capture)
+    return calls
+
+
+class TestExtrapolation:
+    # (kernel, u_c): n=4096 sweep counts at the parent commit, which swept
+    # plainly from the supersolution, and the counts with extrapolation
+    PINNED = [
+        (kk.exponential_kernel(1.0), 0.5, 206, 75),
+        (kk.gaussian_kernel(1.0), 0.5, 116, 64),
+        (kk.uniform_kernel(1.0), 0.5, 51, 23),
+    ]
+    # (kernel, u_c, plain error): sup distance of the plain tol 1e-8 solve
+    # at n=4096 from a tol 1e-14 solve, at the parent commit
+    PLAIN_ERRORS = [
+        (kk.exponential_kernel(1.0), 0.5, 1.65e-7),
+        (kk.gaussian_kernel(1.0), 0.5, 8.42e-8),
+    ]
+
+    def test_accepted_iterates_descend_inside_the_bracket(self, monkeypatch):
+        # u_c = 0.25 has both accepted and discarded candidates
+        calls = captured_sweeps(monkeypatch)
+        profile, trace = wv.solve_wave(EXP1, wv.WaveParams(0.25, -0.25), n=512)
+        assert profile.converged
+        assert {wv.CANDIDATE_SWEEP, wv.DISCARDED_CANDIDATE} <= set(trace.kinds)
+        assert len(calls) == trace.iterations
+        iterates = [a for (start, out), kind in zip(calls, trace.kinds)
+                    if kind != wv.DISCARDED_CANDIDATE for a in (start, out)]
+        np.testing.assert_array_equal(iterates[-1], profile.values)
+        sub = profile.subsolution.samples(profile.grid)
+        for before, after in zip(iterates, iterates[1:]):
+            assert np.all(after <= before + 1e-10)
+        for v in iterates:
+            assert np.all(v >= sub - 1e-10)
+            assert np.all(v <= 0.25 + 1e-10)
+
+    def test_discarded_candidates_are_marked(self, monkeypatch):
+        calls = captured_sweeps(monkeypatch)
+        profile, trace = wv.solve_wave(kk.gaussian_kernel(1.0),
+                                       wv.WaveParams(0.25, -0.25), n=512)
+        assert profile.converged
+        assert sum(trace.monotone_violations) + sum(trace.ordering_violations) == 0
+        kinds = trace.kinds
+        discarded = [i for i, kind in enumerate(kinds) if kind == wv.DISCARDED_CANDIDATE]
+        assert discarded
+        for i in discarded:
+            # the sweep after a discard runs plainly from the last accepted
+            # output, which the discarded sweep did not replace
+            last = max(j for j in range(i) if kinds[j] != wv.DISCARDED_CANDIDATE)
+            assert kinds[i + 1] == wv.PLAIN_SWEEP
+            np.testing.assert_array_equal(calls[i + 1][0], calls[last][1])
+            assert not np.array_equal(calls[i][0], calls[last][1])
+
+    @pytest.mark.parametrize("kernel, u_c, plain, pinned", PINNED,
+                             ids=["exp", "gauss", "uniform"])
+    def test_sweep_count_pinned(self, kernel, u_c, plain, pinned):
+        profile, _ = wv.solve_wave(kernel, wv.WaveParams(u_c, -u_c))
+        assert profile.converged
+        assert profile.iterations == pinned <= 0.6 * plain
+
+    @pytest.mark.parametrize("kernel, u_c, plain_error", PLAIN_ERRORS,
+                             ids=["exp", "gauss"])
+    def test_error_no_worse_than_plain(self, kernel, u_c, plain_error):
+        params = wv.WaveParams(u_c, -u_c)
+        profile, _ = wv.solve_wave(kernel, params)
+        tight, _ = wv.solve_wave(kernel, params, tol_iter=1e-14)
+        assert tight.converged
+        error = profile.values - tight.values
+        assert np.max(np.abs(error)) <= 1.5 * plain_error
+        # the tight solve descends further from the stopped iterate
+        assert np.min(error) >= -1e-14
 
 
 class TestClassification:
@@ -704,14 +801,15 @@ class TestSerialization:
         floats = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
         np.testing.assert_array_equal(floats[:, 0], trace.sup_diffs)
         np.testing.assert_array_equal(floats[:, 1], trace.u_at_zero)
-        ints = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 3, 4),
+        ints = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 3, 4, 5),
                           dtype=int, ndmin=2)
         np.testing.assert_array_equal(ints, np.column_stack([
             np.arange(1, trace.iterations + 1), trace.monotone_violations,
-            trace.ordering_violations]))
+            trace.ordering_violations, trace.kinds]))
         assert path.read_bytes() == csv_module_bytes(
             tmp_path / "trace_ref.csv",
-            ["n", "sup_diff", "u_at_zero", "monotone_violations", "ordering_violations"],
+            ["n", "sup_diff", "u_at_zero", "monotone_violations", "ordering_violations",
+             "kind"],
             ([i + 1, repr(trace.sup_diffs[i]), repr(trace.u_at_zero[i]),
-              trace.monotone_violations[i], trace.ordering_violations[i]]
+              trace.monotone_violations[i], trace.ordering_violations[i], trace.kinds[i]]
              for i in range(trace.iterations)))

@@ -56,6 +56,7 @@ from .convolve import (
     FieldError,
     HalfLineGrid,
     OddConvolver,
+    _fast_length,
     snap_length,
     trapezoid_weights,
 )
@@ -84,6 +85,12 @@ JUMP_GRID_FACTOR = 10.0
 # subsolution search: probe count on [-L, 0) and the cap on eps halvings
 SUBSOLUTION_PROBES = 1024
 SUBSOLUTION_MAX_HALVINGS = 40
+
+#: probe-window overlap Q = ceil((2m + 1)/p) from which g's correlation
+#: runs polyphase by FFT rather than as strided dot products, and the fine
+#: samples per block of phases on that path; see _g_profile
+POLYPHASE_MIN_TAPS = 40
+POLYPHASE_BLOCK_SAMPLES = 2**14
 
 #: (center, width) of the weak residual's smooth test functions; one
 #: straddles 0, and all must fit inside (-L, L)
@@ -279,9 +286,12 @@ def _g_profile(quad, u_c: float, eps: float):
     limit, so a density that jumps at +-r keeps its mass.  The sum is then
     a correlation with f(t) = arctan(eps t) - c eps t on one fine grid: the
     linear part cancels since sum w_z z = 0, and the secant slope c, taken
-    over T = L + r, keeps f as small as the increment at any eps L.  Each
-    block of about five window widths evaluates f once on its fine samples
-    and reads each probe's window as a strided view.
+    over T = L + r, keeps f as small as the increment at any eps L.
+
+    Neighbouring probe windows overlap in Q = ceil((2m + 1)/p) probe
+    spacings.  From Q = POLYPHASE_MIN_TAPS up the correlation runs
+    polyphase by FFT (_polyphase_correlation); below it, where windows
+    barely overlap, as strided dot products (_strided_correlation).
     """
     x, z, w, p = quad
     m = (z.size - 3) // 2
@@ -290,16 +300,61 @@ def _g_profile(quad, u_c: float, eps: float):
     def f(t):
         return np.arctan(eps * t) - t * np.arctan(eps * (r - x[0])) / (r - x[0])
 
-    # the last block may run past x = 0; its extra windows are dropped
-    block = min(1 + 8 * m // p, x.size)
-    offsets = dz * np.arange(-m, (block - 1) * p + m + 1)
-    windows = (sliding_window_view(f(x[i0] + offsets), 2 * m + 1)[::p]
-               for i0 in range(0, x.size, block))
-    corr = np.concatenate([np.einsum("ij,j->i", v, w[:-2]) for v in windows])[:x.size]
+    taps = -(-(2 * m + 1) // p)
+    correlate = (_polyphase_correlation if taps >= POLYPHASE_MIN_TAPS
+                 else _strided_correlation)
+    corr = correlate(f, x, dz, w[:-2], p)
     num = np.sum(w) * f(x) - corr - w[-1] * (f(x - r) + f(x + r))
     den = (2.0 * u_c / np.pi) * np.arctan(eps * x) * eps / (1.0 + (eps * x) ** 2)
     limit = (np.pi * eps / (2.0 * u_c)) * float(np.sum(z * z * w / (1.0 + (eps * z) ** 2)))
     return num / den, limit
+
+
+def _strided_correlation(f, x, dz, w, p):
+    """sum_j w_j f(x_i + (j - m) dz) for every probe x_i, with 2m + 1 = w.size.
+
+    Each block of about five window widths evaluates f once on its fine
+    samples and reads each probe's window as a strided view.
+    """
+    m = w.size // 2
+    # the last block may run past x = 0; its extra windows are dropped
+    block = min(1 + 8 * m // p, x.size)
+    offsets = dz * np.arange(-m, (block - 1) * p + m + 1)
+    windows = (sliding_window_view(f(x[i0] + offsets), w.size)[::p]
+               for i0 in range(0, x.size, block))
+    return np.concatenate([np.einsum("ij,j->i", v, w) for v in windows])[:x.size]
+
+
+def _polyphase_correlation(f, x, dz, w, p):
+    """The sum of _strided_correlation by polyphase FFT correlation
+    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983).
+
+    Probe i reads the fine samples i p + j - m, j = 0..2m.  With j = q p + phi
+    the sum splits into p phases, each a Q-tap correlation along the probe
+    axis of the samples s p + phi - m (s = 0..N + Q - 2) with the weights
+    w_{q p + phi}.  A block of phases takes one batched rfft of its samples
+    and of its weights; the products accumulate over all phases, and one
+    irfft returns the N sums.  Only the lags the probes read are computed,
+    and a block holds about POLYPHASE_BLOCK_SAMPLES fine samples.
+    """
+    m = w.size // 2
+    taps = -(-w.size // p)
+    rows = x.size + taps - 1
+    nfft = _fast_length(rows)
+    phases = np.zeros(taps * p)
+    phases[:w.size] = w
+    phases = phases.reshape(taps, p).T
+    # fine-sample indices as exact floating-point integers
+    starts = np.arange(-m, rows * p - m, p, dtype=float)
+    block = max(1, POLYPHASE_BLOCK_SAMPLES // rows)
+    acc = np.zeros(nfft // 2 + 1, dtype=complex)
+    for phi in range(0, p, block):
+        stop = min(phi + block, p)
+        k = np.arange(phi, stop, dtype=float)[:, None] + starts
+        spectra = np.fft.rfft(f(x[0] + dz * k), nfft)
+        spectra *= np.conj(np.fft.rfft(phases[phi:stop], nfft))
+        acc += spectra.sum(axis=0)
+    return np.fft.irfft(acc, nfft)[:x.size]
 
 
 def subsolution(params: WaveParams, kernel: Kernel,

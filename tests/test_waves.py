@@ -16,6 +16,11 @@ from nlburgers import waves as wv
 
 EXP1 = kk.exponential_kernel(1.0)
 
+# a bimodal table: triangular peaks at +-2 of half-width 0.5
+_Y = np.linspace(-3.0, 3.0, 61)
+BIMODAL = kk.tabulated_kernel(
+    _Y, np.maximum(1.0 - np.abs(np.abs(_Y) - 2.0) / 0.5, 0.0), renormalize=True)
+
 
 def dense_g_profile(kernel, u_c, eps, probes):
     """g on the probes and its x -> 0 limit by the dense z-sum: 8193
@@ -53,6 +58,12 @@ def dense_jump_identity(profile, kernel):
                     left=u_c, right=-u_c)
     inner = (u_z.reshape(z.shape) * wt).sum(axis=1)
     return abs(float(np.sum(wy * y * kernel.density(y) * inner)) + 0.5 * u_c ** 2)
+
+
+def overlap_taps(quad):
+    """Q = ceil((2m + 1)/p): the probe spacings one z window spans."""
+    _, z, _, p = quad
+    return -(-(z.size - 2) // p)
 
 
 def certificate_inputs(kernel, rho, n):
@@ -176,20 +187,22 @@ class TestSubsolution:
         g_dense, _ = dense_g_profile(EXP1, u_c, eps, x)
         assert float(np.max(g)) == pytest.approx(float(np.max(g_dense)), rel=1e-6)
 
-    @pytest.mark.parametrize("case", ["bimodal_table", "uniform_u_c_1000"])
+    @pytest.mark.parametrize(
+        "case", ["bimodal_table", "uniform_u_c_1000", "uniform_polyphase_widest"])
     def test_memory_bounded_on_long_domains(self, case):
         if case == "bimodal_table":
-            # triangular peaks at +-2 of half-width 0.5: L = 1250, and the
-            # probe spacing holds ~1667 z steps
-            y = np.linspace(-3.0, 3.0, 61)
-            kernel = kk.tabulated_kernel(
-                y, np.maximum(1.0 - np.abs(np.abs(y) - 2.0) / 0.5, 0.0),
-                renormalize=True)
-            params, n = wv.WaveParams(50.0, -50.0), 512
-        else:
+            # L = 25 u_c = 1250, and the probe spacing holds ~1667 z steps
+            kernel, params, n = BIMODAL, wv.WaveParams(50.0, -50.0), 512
+        elif case == "uniform_u_c_1000":
             # L = 25000: the probe windows [x - 1, x + 1] do not overlap
             kernel = kk.uniform_kernel(1.0)
             params, n = wv.WaveParams(1000.0, -1000.0), 1024
+        else:
+            # the polyphase path at its most phases: p = 206, Q = 40
+            kernel = kk.uniform_kernel(1.0)
+            params, n = wv.WaveParams(2.05, -2.05), 4096
+            quad = wv._z_quadrature(kernel, wv.default_length(kernel, params, n))
+            assert overlap_taps(quad) >= wv.POLYPHASE_MIN_TAPS
         grid = cv.HalfLineGrid(wv.default_length(kernel, params, n), n)
         tracemalloc.start()
         try:
@@ -198,6 +211,73 @@ class TestSubsolution:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "kernel, u_c, n",
+        [(EXP1, 0.5, 512),                           # p = 7
+         (kk.gaussian_kernel(1.0), 4.0 * np.sqrt(8.0 / np.pi), 512),  # p = 86
+         (kk.uniform_kernel(1.0), 1.1, 512),         # p = 112
+         (kk.uniform_kernel(1.0), 1.9, 4096),        # p = 191
+         (kk.uniform_kernel(1.0), 4.0, 512),         # p = 421
+         (kk.triangular_kernel(1.0), 8.0 / 3.0, 512),  # p = 269
+         (BIMODAL, 50.0, 512),                       # p = 1667
+         (kk.uniform_kernel(1.0), 1000.0, 1024)],    # p = 100000, Q = 1
+        ids=["exp:k=1", "gauss", "uniform-1.1", "uniform-1.9", "uniform-4",
+             "tri", "bimodal", "uniform-1000"])
+    def test_polyphase_and_strided_paths_agree(self, monkeypatch, kernel, u_c, n):
+        params = wv.WaveParams(u_c, -u_c)
+        quad = wv._z_quadrature(kernel, wv.default_length(kernel, params, n))
+        eps = u_c / (np.pi * kernel.m2)
+        monkeypatch.setattr(wv, "POLYPHASE_MIN_TAPS", 1)
+        g_fft, limit_fft = wv._g_profile(quad, u_c, eps)
+        monkeypatch.setattr(wv, "POLYPHASE_MIN_TAPS", 2**62)
+        g_strided, limit_strided = wv._g_profile(quad, u_c, eps)
+        assert limit_fft == limit_strided
+        # g = num/den, and num is a difference of sums of terms below pi/2,
+        # so either path carries up to ~1e-14 of absolute rounding in num;
+        # that term decides only where den is tiny: at u_c = 1000 the far
+        # probes' g sits 3e-7 from a long-double sum on both paths
+        x = quad[0]
+        den = (2.0 * u_c / np.pi) * np.arctan(eps * x) * eps / (1.0 + (eps * x) ** 2)
+        tol = (1e-10 * np.maximum(1.0, np.abs(g_strided))
+               + 256 * np.finfo(float).eps / np.abs(den))
+        assert np.all(np.abs(g_fft - g_strided) <= tol)
+
+    @pytest.mark.parametrize("failing", [1, 3])
+    @pytest.mark.parametrize("part", ["probes", "limit"])
+    def test_halves_eps_while_g_exceeds_one(self, monkeypatch, failing, part):
+        # no scanned shape needs a halving: force g above 1, on the probes
+        # or in the x -> 0 limit, for the first `failing` candidates
+        evaluate, seen = wv._g_profile, []
+
+        def g_profile(quad, u_c, eps):
+            seen.append(eps)
+            g, limit = evaluate(quad, u_c, eps)
+            if len(seen) <= failing:
+                return (g + 1.0, limit) if part == "probes" else (g, limit + 1.0)
+            return g, limit
+
+        monkeypatch.setattr(wv, "_g_profile", g_profile)
+        params = wv.WaveParams(1.0, -1.0)
+        grid = cv.HalfLineGrid(46.0, 1024)
+        spec = wv.subsolution(params, EXP1, grid)
+        eps0 = params.u_c / (np.pi * EXP1.m2)
+        assert spec.halvings == failing
+        assert spec.epsilon == eps0 / 2**failing
+        assert seen == [eps0 / 2**j for j in range(failing + 1)]
+        assert max(spec.g_sup, spec.g_limit) <= 1.0
+
+    def test_raises_after_the_last_halving(self, monkeypatch):
+        seen = []
+
+        def g_profile(quad, u_c, eps):
+            seen.append(eps)
+            return np.full(quad[0].size, 2.0), 0.5
+
+        monkeypatch.setattr(wv, "_g_profile", g_profile)
+        with pytest.raises(wv.SubsolutionError):
+            wv.subsolution(wv.WaveParams(1.0, -1.0), EXP1, cv.HalfLineGrid(46.0, 1024))
+        assert len(seen) == wv.SUBSOLUTION_MAX_HALVINGS + 1
 
 
 class TestMarchInternals:

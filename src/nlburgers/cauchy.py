@@ -50,6 +50,8 @@ class SimConfig:
             raise ValueError("domain ends and end time must be finite")
         if not self.a < self.b:
             raise ValueError("need a < b")
+        if not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"cell count must be an integer, got {self.m!r}")
         if self.m < 128:
             raise ValueError("need at least 128 cells")
         if not 0.0 < self.cfl <= 0.9:

@@ -67,6 +67,8 @@ class HalfLineGrid:
     def __post_init__(self):
         if not (self.length > 0.0 and np.isfinite(self.length)):
             raise ValueError("grid length must be positive and finite")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"cell count must be an integer, got {self.n!r}")
         if self.n < 64:
             raise ValueError("need at least 64 cells")
 

@@ -19,9 +19,9 @@ keeps the recurrence well behaved when u_n(0) decays toward zero on
 profiles without a sub-shock.
 
 The iterates decrease pointwise, stay nonincreasing in x, and remain
-pinched between the arctan subsolution and u_c; the solver enforces all
-of that at 1e-10 every sweep and treats a violation as a discretization
-bug, not a data point.
+pinched between the arctan subsolution and u_c; the solver checks each
+iterate once, right after the sweep that made it, at 1e-10 (_defects),
+and treats a violation as a discretization bug, not a data point.
 
 The plain iteration converges linearly, at a rate that nears 1 for small
 amplitudes.  After two consecutive sweeps v_{k-1} -> v_k -> v_{k+1} whose
@@ -33,13 +33,12 @@ with rho = d_{k+1}/d_k the candidate is
 
 which takes most of the geometric tail of the dominant error mode in one
 step.  The previous sweep's check proved v_k - v_{k+1} >= 0, so the
-candidate moves down only.  It is swept only if it passes every check of
-an iterate (finite, nonincreasing, above the positivity floor, inside the
-bracket, at most v_{k+1}), and kept only if that sweep passes every check
-of a plain sweep; otherwise the candidate and its sweep are discarded and
-the next sweep runs plainly from v_{k+1}.  So every accepted iterate still
-descends and stays inside the bracket at 1e-10, and every swept candidate
-counts as a sweep.
+candidate moves down only.  It is swept only if it passes the iterate
+check against v_{k+1}, and kept only if its sweep's output passes the
+same check against the candidate; otherwise the candidate and its sweep
+are discarded and the next sweep runs plainly from v_{k+1}.  So every
+accepted iterate still descends and stays inside the bracket at 1e-10,
+and every swept candidate counts as a sweep.
 """
 
 from __future__ import annotations
@@ -451,9 +450,9 @@ def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
 
 def iterate_once(values: np.ndarray, params: WaveParams,
                  convolver: OddConvolver) -> np.ndarray:
-    """One sweep on the plan's grid: the samples of u_{n+1} from those of
-    u_n, solving w + u_n w' = K*u_n with w(-L) = u_c and u_n = u_c on
-    x <= -L.
+    """One checked sweep on the plan's grid: the samples of u_{n+1} from
+    those of u_n, solving w + u_n w' = K*u_n with w(-L) = u_c and u_n = u_c
+    on x <= -L.
 
     FieldError unless the samples are one per node, finite, positive, at
     most u_c and nonincreasing.  The origin sample alone may be zero: on
@@ -461,10 +460,9 @@ def iterate_once(values: np.ndarray, params: WaveParams,
     float, and the marching rule never divides by it.  The positivity
     floor guards the interior nodes only: there the iterate is pinned
     above the subsolution, so dropping below 1e-12 means the scheme
-    collapsed.
+    collapsed.  solve_wave checks its own iterates and calls _sweep.
     """
     grid = convolver.grid
-    u_c = params.u_c
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n + 1,):
         raise FieldError("need one sample per grid node")
@@ -473,21 +471,29 @@ def iterate_once(values: np.ndarray, params: WaveParams,
     interior_min = float(np.min(values[:-1]))
     if interior_min <= 0.0 or values[-1] < 0.0:
         raise FieldError("admissible fields are positive")
-    if np.max(values) > u_c + INVARIANT_TOL:
+    if np.max(values) > params.u_c + INVARIANT_TOL:
         raise FieldError("admissible fields do not exceed u_c")
     if np.max(np.diff(values)) > INVARIANT_TOL:
         raise FieldError("admissible fields are nonincreasing")
     if interior_min < FLOOR_DELTA:
-        raise IterateCollapseError(
-            f"iterate fell below the positivity floor {FLOOR_DELTA:.0e} "
-            f"(min interior sample {interior_min:.3e}, n={grid.n}, "
-            f"L={grid.length:.6g}); the scheme collapsed"
-        )
+        raise _collapse(values, grid)
+    return _sweep(values, params.u_c, convolver)
+
+
+def _sweep(values: np.ndarray, u_c: float, convolver: OddConvolver) -> np.ndarray:
+    """iterate_once without its input checks, for checked samples."""
     g = convolver.apply_values(values, u_c)
-    out = _advance(values, g, grid.h, u_c)
+    out = _advance(values, g, convolver.grid.h, u_c)
     if not np.all(np.isfinite(out)):
         raise SchemeInvariantError("non-finite intermediate in the sweep")
     return out
+
+
+def _collapse(values: np.ndarray, grid: HalfLineGrid) -> IterateCollapseError:
+    return IterateCollapseError(
+        f"iterate fell below the positivity floor {FLOOR_DELTA:.0e} (min interior "
+        f"sample {np.min(values[:-1]):.3e}, origin sample {values[-1]:.3e}, "
+        f"n={grid.n}, L={grid.length:.6g}); the scheme collapsed")
 
 
 # ----------------------------------------------------------------------
@@ -495,20 +501,16 @@ def iterate_once(values: np.ndarray, params: WaveParams,
 # ----------------------------------------------------------------------
 
 
-def _admissible(candidate: np.ndarray, v: np.ndarray, floor: np.ndarray,
-                ceiling: float) -> bool:
-    """Whether an extrapolated candidate may replace the iterate v: every
-    check iterate_once and the sweep checks apply to an iterate (finite,
-    nonincreasing, interior at or above FLOOR_DELTA, origin nonnegative,
-    inside [floor, ceiling]) and, so the sequence keeps descending, at most
-    v + INVARIANT_TOL."""
-    return bool(np.all(np.isfinite(candidate))
-                and np.max(np.diff(candidate)) <= INVARIANT_TOL
-                and np.min(candidate[:-1]) >= FLOOR_DELTA
-                and candidate[-1] >= 0.0
-                and np.all(candidate >= floor)
-                and np.max(candidate) <= ceiling
-                and np.all(candidate <= v + INVARIANT_TOL))
+def _defects(w: np.ndarray, above: np.ndarray, floor: np.ndarray, ceiling: float):
+    """(monotonicity, ordering, collapsed) of w as the iterate after
+    ``above``: counts past INVARIANT_TOL of rises over ``above`` or between
+    neighbours and of samples outside [floor, ceiling], and whether an
+    interior sample is below FLOOR_DELTA or the origin below 0 (or NaN)."""
+    rises = np.count_nonzero(w > above + INVARIANT_TOL)
+    mono = int(rises + np.count_nonzero(np.diff(w) > INVARIANT_TOL))
+    ordering = int(np.count_nonzero(w < floor) + np.count_nonzero(w > ceiling))
+    collapsed = not (np.min(w[:-1]) >= FLOOR_DELTA and w[-1] >= 0.0)
+    return mono, ordering, collapsed
 
 
 def default_length(kernel: Kernel, params: WaveParams, n: int = 4096,
@@ -539,17 +541,18 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     Sweeps from extrapolated candidates (see the module docstring) count
     toward ``max_iter`` and the trace like plain sweeps; a discarded
     candidate's sweep has a trace row of kind DISCARDED_CANDIDATE and never
-    becomes an iterate.
+    becomes an iterate.  _defects checks each iterate once, after its sweep;
+    sweeps run unchecked (_sweep) on the supersolution or checked arrays.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
-    SchemeInvariantError if any ordering invariant fails beyond
-    1e-10: that indicates a discretization bug, not a property of the
-    problem.  Hitting max_iter is not an error; the best iterate comes
-    back with converged=False and classification 'indeterminate'.
-    ValueError if max_iter < 1 (no sweep leaves no measured sup_diff),
-    unless 0 <= tol_iter < inf (inf converges after one sweep, NaN or a
-    negative tolerance never does), and for a certificate made for
-    another kernel object, u_c or L.
+    SchemeInvariantError or IterateCollapseError if a sweep's output breaks
+    an invariant beyond 1e-10 or falls below the positivity floor: that is
+    a discretization bug, not a property of the problem.  Hitting max_iter
+    is not an error; the best iterate comes back with converged=False and
+    classification 'indeterminate'.  ValueError if max_iter < 1 (no sweep
+    leaves no measured sup_diff), unless 0 <= tol_iter < inf (inf converges
+    after one sweep, NaN or a negative tolerance never does), and for a
+    certificate made for another kernel object, u_c or L.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -596,22 +599,18 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
         if back_diff is not None and back_diff > sup_diff > 0.0:
             rho = sup_diff / back_diff
             candidate = v - (EXTRAPOLATION_THETA * rho / (1.0 - rho)) * (back - v)
-            if _admissible(candidate, v, floor, ceiling):
+            if not any(_defects(candidate, v, floor, ceiling)):
                 start, kind = candidate, CANDIDATE_SWEEP
-        w = iterate_once(start, params, convolver)
-        mono = int(np.count_nonzero(w > start + INVARIANT_TOL))
-        mono += int(np.count_nonzero(np.diff(w) > INVARIANT_TOL))
-        ordering = int(np.count_nonzero(w < floor))
-        ordering += int(np.count_nonzero(w > ceiling))
-        positive = np.min(w[:-1]) > 0.0 and w[-1] >= 0.0
+        w = _sweep(start, params.u_c, convolver)
+        mono, ordering, collapsed = _defects(w, start, floor, ceiling)
         diff = float(np.max(np.abs(w - start)))
-        if kind == CANDIDATE_SWEEP and (mono or ordering or not positive):
+        if kind == CANDIDATE_SWEEP and (mono or ordering or collapsed):
             # not an iterate: v stays, and the next sweep is plain from it
             trace.record(diff, w[-1], 0, 0, DISCARDED_CANDIDATE)
             back_diff = None
             continue
-        if not positive:
-            raise IterateCollapseError("iterate lost positivity")
+        if collapsed:
+            raise _collapse(w, grid)
         trace.record(diff, w[-1], mono, ordering, kind)
         if mono or ordering:
             raise SchemeInvariantError(

@@ -38,6 +38,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             cy.SimConfig(**kwargs)
 
+    def test_cell_count_must_be_an_integer(self):
+        # 200.5 cells would simulate 201, the last center on b
+        kwargs = dict(a=-1.0, b=1.0, t_end=1.0, u_left=0, u_right=0)
+        for m in (200.5, 200.0):
+            with pytest.raises(ValueError, match="integer"):
+                cy.SimConfig(m=m, **kwargs)
+        cfg = cy.SimConfig(m=np.int64(200), **kwargs)
+        assert cfg.centers().size == 200
+        assert cfg.centers()[-1] == pytest.approx(1.0 - cfg.dx / 2)
+
     def test_centers(self):
         cfg = cy.SimConfig(a=0.0, b=1.0, m=128, t_end=1.0, u_left=0, u_right=0)
         x = cfg.centers()

@@ -119,6 +119,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             cv.HalfLineGrid(10.0, 32)
 
+    def test_cell_count_must_be_an_integer(self):
+        # 100.5 cells would give 102 nodes whose last is not 0
+        for n in (100.5, 128.0):
+            with pytest.raises(ValueError, match="integer"):
+                cv.HalfLineGrid(30.0, n)
+        grid = cv.HalfLineGrid(30.0, np.int64(128))
+        assert grid.nodes().size == 129 and grid.nodes()[-1] == 0.0
+
     def test_snap_length_aligns_breakpoint(self):
         ker = kk.uniform_kernel(1.0)
         n, refine = 1024, 8

@@ -473,6 +473,26 @@ class TestSolve:
                            match=r"sweep 1: 0 monotonicity and [1-9]\d* ordering"):
             wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
 
+    def test_sweep_output_below_the_floor_raises_at_that_sweep(self, monkeypatch):
+        # sweep 2's output gets one interior sample at 1e-13 and origin 0:
+        # still below its input, nonincreasing and above a zero barrier, so
+        # only the positivity floor catches it, before any further sweep
+        monkeypatch.setattr(wv.SubsolutionSpec, "samples",
+                            lambda spec, grid: np.zeros(grid.n + 1))
+        plain, outputs = wv._sweep, []
+
+        def tampered(values, u_c, convolver):
+            outputs.append(plain(values, u_c, convolver))
+            if len(outputs) == 2:
+                outputs[-1][-2:] = 1e-13, 0.0
+            return outputs[-1]
+
+        monkeypatch.setattr(wv, "_sweep", tampered)
+        with pytest.raises(wv.IterateCollapseError,
+                           match=r"floor 1e-12 \(min interior sample 1\.000e-13"):
+            wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
+        assert len(outputs) == 2
+
     @pytest.mark.parametrize("u_c, message", [
         (0.25, "sweep 1: 0 monotonicity and 15 ordering violations"),
         (1.0, "sweep 2: 21 monotonicity and 0 ordering violations"),
@@ -538,17 +558,17 @@ class TestSolve:
 
 
 def captured_sweeps(monkeypatch):
-    """Wrap iterate_once so each call's (input, output) is appended to the
-    returned list."""
+    """Wrap the solver's unchecked sweep _sweep so each call's (input,
+    output) is appended to the returned list."""
     calls = []
-    plain = wv.iterate_once
+    plain = wv._sweep
 
-    def capture(values, params, convolver):
-        out = plain(values, params, convolver)
+    def capture(values, u_c, convolver):
+        out = plain(values, u_c, convolver)
         calls.append((np.array(values), out))
         return out
 
-    monkeypatch.setattr(wv, "iterate_once", capture)
+    monkeypatch.setattr(wv, "_sweep", capture)
     return calls
 
 
@@ -607,6 +627,46 @@ class TestExtrapolation:
         profile, _ = wv.solve_wave(kernel, wv.WaveParams(u_c, -u_c))
         assert profile.converged
         assert profile.iterations == pinned <= 0.6 * plain
+
+    def test_candidate_failing_the_check_is_not_swept(self, monkeypatch):
+        # theta = 1e6 throws every candidate far below the bracket: each is
+        # refused before its sweep, and the solve takes the plain sweeps
+        kernel, u_c, plain, _ = self.PINNED[0]
+        monkeypatch.setattr(wv, "EXTRAPOLATION_THETA", 1e6)
+        checked, defects = [], wv._defects
+
+        def record(*args):
+            checked.append(defects(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(wv, "_defects", record)
+        calls = captured_sweeps(monkeypatch)
+        profile, trace = wv.solve_wave(kernel, wv.WaveParams(u_c, -u_c))
+        assert profile.converged
+        assert profile.iterations == len(calls) == plain
+        assert set(trace.kinds) == {wv.PLAIN_SWEEP}
+        # one check per sweep output, all clean; every other check refused
+        # a candidate
+        candidates = len(checked) - plain
+        assert candidates > 0
+        assert sum(any(d) for d in checked) == candidates
+
+    def test_solver_never_enters_the_checked_sweep(self, monkeypatch):
+        # every array the solver sweeps is already checked, so it never
+        # enters iterate_once's entry checks; the sweep counts are pinned
+        def refuse(*args):
+            raise AssertionError("the solver called iterate_once")
+
+        monkeypatch.setattr(wv, "iterate_once", refuse)
+        calls = captured_sweeps(monkeypatch)
+        profile, _ = wv.solve_wave(EXP1, wv.WaveParams(0.25, -0.25), n=512)
+        assert profile.converged
+        assert profile.iterations == len(calls) == 184
+        rec = wv.classify_shock(kk.uniform_kernel(1.0), wv.WaveParams(1.0, -1.0),
+                                n=128)
+        assert rec.profile.converged
+        assert rec.profile.iterations == 15
+        assert len(calls) == 184 + 45
 
     @pytest.mark.parametrize("kernel, u_c, plain_error", PLAIN_ERRORS,
                              ids=["exp", "gauss"])

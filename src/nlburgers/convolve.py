@@ -231,8 +231,8 @@ class OddConvolver:
 
     def __init__(self, kernel: Kernel, grid: HalfLineGrid,
                  refine: int = REFINE_DEFAULT):
-        if refine < 1:
-            raise ValueError("refine must be a positive integer")
+        if not isinstance(refine, (int, np.integer)) or refine < 1:
+            raise ValueError(f"refine must be a positive integer, got {refine!r}")
         tail = kernel.tail_mass(0.5 * grid.length)
         if tail > TAIL_TOL:
             raise GridKernelError(

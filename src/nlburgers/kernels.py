@@ -162,9 +162,14 @@ class Kernel:
         """Offsets |y| where the density itself is discontinuous.
 
         A profile with a sub-shock loses a derivative at the images of
-        these offsets, which residual checks need to know about.
+        these offsets, which residual checks need to know about.  A table
+        whose end rows are nonzero drops to 0 at its edge y_max.
         """
-        return (self.param,) if self.family == "uniform" else ()
+        if self.family == "uniform":
+            return (self.param,)
+        if self.family == "tabulated" and (self.table_k[0] or self.table_k[-1]):
+            return (float(self.table_y[-1]),)
+        return ()
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +335,8 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
     """Check evenness, nonnegativity, unit mass, monotone decay, finite M2.
 
     Failures are reported with their worst observed magnitude, never
-    raised.  A discontinuous density (uniform family) is flagged via
+    raised.  A density with declared jumps (Kernel.density_jumps: the
+    uniform family, a table with nonzero end rows) is flagged via
     ``density_continuous`` but is not a failure: bounded variation on the
     probe grid is the working substitute for the W^{1,1} hypothesis.
     """
@@ -358,14 +364,7 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
 
     m2_ok = np.isfinite(kernel.m2) and kernel.m2 > 0.0
 
-    jumps = np.abs(np.diff(ky[1:]))
-    tv = float(np.sum(jumps))
-    # a genuine jump survives probe refinement; a continuous density's
-    # largest adjacent difference roughly halves when probes double
-    y2 = np.linspace(0.0, r, 2 * probe_count)
-    jump_fine = float(np.max(np.abs(np.diff(kernel.density(y2))), initial=0.0))
-    jump_coarse = float(np.max(jumps, initial=0.0))
-    continuous = bool(jump_fine <= 0.75 * jump_coarse or jump_coarse <= 1e-14 * scale)
+    tv = float(np.sum(np.abs(np.diff(ky[1:]))))
 
     checks = {
         "evenness": CheckResult(bool(even_worst <= 1e-12 * scale), even_worst),
@@ -376,7 +375,8 @@ def validate_kernel(kernel: Kernel, probe_count: int = 256) -> KernelValidation:
         "bounded_variation": CheckResult(bool(np.isfinite(tv)), tv),
     }
     return KernelValidation(checks=checks, probe_count=probe_count,
-                            density_continuous=continuous, total_variation=tv)
+                            density_continuous=not kernel.density_jumps(),
+                            total_variation=tv)
 
 
 # ----------------------------------------------------------------------

@@ -367,18 +367,20 @@ def subsolution(params: WaveParams, kernel: Kernel,
     if not (np.isfinite(kernel.m2) and kernel.m2 > 0.0):
         raise SubsolutionError("kernel lacks a finite second moment")
     quad = _z_quadrature(kernel, grid.length)
-    eps = u_c / (np.pi * kernel.m2)
+    eps0 = u_c / (np.pi * kernel.m2)
     for halvings in range(SUBSOLUTION_MAX_HALVINGS + 1):
+        eps = eps0 * 0.5**halvings
         g, g_limit = _g_profile(quad, u_c, eps)
         g_sup = float(np.max(g))
         if max(g_sup, g_limit) <= 1.0:
             return SubsolutionSpec(
                 epsilon=eps, g_sup=g_sup, g_limit=g_limit, halvings=halvings,
                 kernel=kernel, u_c=u_c, length=grid.length)
-        eps *= 0.5
     raise SubsolutionError(
-        f"g(x, eps) stayed above 1 after {SUBSOLUTION_MAX_HALVINGS} halvings; "
-        "the kernel violates the finite-second-moment hypothesis in practice"
+        f"g(x, eps) stayed above 1 after {SUBSOLUTION_MAX_HALVINGS} halvings "
+        f"(u_c = {u_c:.3e}, last eps = {eps:.3e}, g_sup = {g_sup:.3e}): either "
+        "the kernel tail is too heavy for the finite-second-moment hypothesis, "
+        "or u_c is so small that g is at the rounding level of its sums"
     )
 
 
@@ -713,15 +715,16 @@ def classify_shock(kernel: Kernel, params: WaveParams, *,
 # ----------------------------------------------------------------------
 
 
-def _residual_convolver(profile: WaveProfile, kernel: Kernel,
-                        refine: int) -> OddConvolver:
-    """The profile's own plan when it was built for this kernel object,
-    refine and grid; a fresh plan otherwise."""
+def _source(profile: WaveProfile, kernel: Kernel, refine: int) -> np.ndarray:
+    """K*u - u at the half-line nodes, the source term of u u' = K*u - u
+    that every residual check reads.  K*u comes from the profile's own plan
+    when it was built for this kernel object, refine and grid, and from a
+    fresh plan otherwise."""
     plan = profile.convolver
-    if (plan is not None and plan.kernel is kernel and plan.refine == refine
-            and plan.grid == profile.grid):
-        return plan
-    return OddConvolver(kernel, profile.grid, refine)
+    if (plan is None or plan.kernel is not kernel or plan.refine != refine
+            or plan.grid != profile.grid):
+        plan = OddConvolver(kernel, profile.grid, refine)
+    return plan.apply_values(profile.values, profile.params.u_c) - profile.values
 
 
 def pointwise_residual(profile: WaveProfile, kernel: Kernel,
@@ -737,10 +740,9 @@ def pointwise_residual(profile: WaveProfile, kernel: Kernel,
     """
     grid = profile.grid
     u = profile.values
-    g = _residual_convolver(profile, kernel, refine).apply_values(u, profile.params.u_c)
     h = grid.h
     du = (u[2:] - u[:-2]) / (2.0 * h)
-    res = np.abs(u[1:-1] * du - (g[1:-1] - u[1:-1]))
+    res = np.abs(u[1:-1] * du - _source(profile, kernel, refine)[1:-1])
     keep = np.ones(res.size, dtype=bool)
     keep[res.size - 5:] = False
     x = grid.nodes()[1:-1]
@@ -778,9 +780,7 @@ def weak_residual(profile: WaveProfile, kernel: Kernel,
     mag = profile.magnitude()
     quad = 0.5 * mag * mag - 0.5 * profile.params.s ** 2
 
-    g = _residual_convolver(profile, kernel, refine).apply_values(
-        profile.values, profile.params.u_c)
-    source = _odd_extension(g) - profile.odd_component()
+    source = _odd_extension(_source(profile, kernel, refine))
     weights = trapezoid_weights(x.size - 1, h)
 
     worst = 0.0
@@ -801,11 +801,9 @@ def flux_balance(profile: WaveProfile, kernel: Kernel,
     identity for continuous and sub-shock waves alike.
     """
     grid = profile.grid
-    u = profile.values
-    u_c = profile.params.u_c
-    g = _residual_convolver(profile, kernel, refine).apply_values(u, u_c)
-    integral = float(np.sum(trapezoid_weights(grid.n, grid.h) * (g - u)))
-    target = 0.5 * (float(u[-1]) ** 2 - u_c ** 2)
+    source = _source(profile, kernel, refine)
+    integral = float(np.sum(trapezoid_weights(grid.n, grid.h) * source))
+    target = 0.5 * (float(profile.values[-1]) ** 2 - profile.params.u_c ** 2)
     return abs(integral - target)
 
 

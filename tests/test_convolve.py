@@ -127,6 +127,16 @@ class TestGrid:
         grid = cv.HalfLineGrid(30.0, np.int64(128))
         assert grid.nodes().size == 129 and grid.nodes()[-1] == 0.0
 
+    def test_refine_must_be_an_integer(self):
+        # refine 2.5 would build a refine-2 plan on a grid snapped for 2.5,
+        # which puts a density jump between fine nodes
+        ker = kk.uniform_kernel(1.0)
+        grid = cv.HalfLineGrid(cv.snap_length(ker, 30.0, 128, 2), 128)
+        for refine in (2.5, 2.0):
+            with pytest.raises(ValueError, match="integer"):
+                cv.OddConvolver(ker, grid, refine)
+        assert cv.OddConvolver(ker, grid, np.int64(2)).refine == 2
+
     def test_snap_length_aligns_breakpoint(self):
         ker = kk.uniform_kernel(1.0)
         n, refine = 1024, 8

@@ -186,6 +186,22 @@ class TestValidation:
                     kk.triangular_kernel(1.0)):
             assert kk.validate_kernel(ker, 256).density_continuous
 
+    def test_table_with_nonzero_end_rows_jumps_at_its_edge(self):
+        y = np.linspace(-1.0, 1.0, 21)
+        ker = kk.tabulated_kernel(y, (1.2 - np.abs(y)) / 1.4)
+        assert ker.density_jumps() == (1.0,)
+        report = kk.validate_kernel(ker, 256)
+        assert report.all_passed and not report.density_continuous
+
+    def test_steep_continuous_table_reads_continuous(self):
+        # about 0.5 on |y| <= 0.99, 0 from |y| = 1: steep but continuous
+        y = np.linspace(-20.0, 20.0, 4001)
+        ker = kk.tabulated_kernel(y, np.clip((1.0 - np.abs(y)) / 0.01, 0.0, 1.0),
+                                  renormalize=True)
+        assert ker.density_jumps() == ()
+        report = kk.validate_kernel(ker, 256)
+        assert report.all_passed and report.density_continuous
+
     def test_mass_defect_of_a_direct_table_is_reported(self):
         # tabulated_kernel refuses this table; a Kernel built directly is
         # caught by validation, through the exact trapezoid mass

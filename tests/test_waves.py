@@ -267,6 +267,21 @@ class TestSubsolution:
         assert seen == [eps0 / 2**j for j in range(failing + 1)]
         assert max(spec.g_sup, spec.g_limit) <= 1.0
 
+    def test_small_amplitude_failure_names_both_causes(self):
+        # at u_c = 1e-8 the numerator of g is at the rounding level of its
+        # sums, and halving eps only makes it worse; 1e-7 still certifies
+        grid = cv.HalfLineGrid(wv.default_length(EXP1, wv.WaveParams(1e-8, -1e-8), 1024),
+                               1024)
+        with pytest.raises(wv.SubsolutionError) as info:
+            wv.subsolution(wv.WaveParams(1e-8, -1e-8), EXP1, grid)
+        message = str(info.value)
+        eps_last = 1e-8 / (np.pi * EXP1.m2) / 2**wv.SUBSOLUTION_MAX_HALVINGS
+        assert "u_c = 1.000e-08" in message
+        assert f"last eps = {eps_last:.3e}" in message
+        assert "g_sup = " in message
+        assert "kernel tail" in message and "rounding level" in message
+        assert wv.subsolution(wv.WaveParams(1e-7, -1e-7), EXP1, grid).halvings == 0
+
     def test_raises_after_the_last_halving(self, monkeypatch):
         seen = []
 
@@ -556,6 +571,13 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol_iter"):
             solver(EXP1, wv.WaveParams(1.0, -1.0), n=64, tol_iter=tol, max_iter=20)
 
+    @pytest.mark.parametrize("solver", [wv.solve_wave, wv.classify_shock],
+                             ids=lambda f: f.__name__)
+    def test_fractional_refine_rejected(self, solver):
+        # L would be snapped for refine 2.5 and the plan built at refine 2
+        with pytest.raises(ValueError, match="refine must be a positive integer"):
+            solver(kk.uniform_kernel(1.0), wv.WaveParams(1.0, -1.0), n=512, refine=2.5)
+
 
 def captured_sweeps(monkeypatch):
     """Wrap the solver's unchecked sweep _sweep so each call's (input,
@@ -788,11 +810,21 @@ class TestReuse:
                       certificate=profile.subsolution)
         assert len(validations) == 1
 
-    def test_residuals_reuse_the_solve_plan(self, built):
+    def test_residuals_reuse_the_solve_plan(self, built, monkeypatch):
         profile, _ = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)
         assert built == {"plans": 1, "certificates": 1}
+        applies = []
+        apply_values = cv.OddConvolver.apply_values
+
+        def counted_apply(self, *args):
+            applies.append(self)
+            return apply_values(self, *args)
+
+        monkeypatch.setattr(cv.OddConvolver, "apply_values", counted_apply)
         reused = residual_trio(profile, EXP1)
+        # one K*u per residual, each on the solve's own plan
         assert built["plans"] == 1
+        assert len(applies) == 3 and all(p is profile.convolver for p in applies)
         fresh = residual_trio(dataclasses.replace(profile, convolver=None), EXP1)
         assert built["plans"] == 4
         assert reused == fresh
@@ -892,6 +924,20 @@ class TestResiduals:
         with pytest.raises(ValueError):
             wv.jump_identity(converged, EXP1)
         converged.classification = "indeterminate"
+
+    def test_table_edge_jump_gets_a_collar(self):
+        # end rows 1/7: the density drops to 0 at y = +-1, so the profile
+        # loses a derivative at x = -1, next to the sub-shock's image
+        y = np.linspace(-1.0, 1.0, 21)
+        kernel = kk.tabulated_kernel(y, (1.2 - np.abs(y)) / 1.4)
+        assert kernel.density_jumps() == (1.0,)
+        u_c = 2.5 * 4.0 * kernel.m1 / 2.0
+        profile, _ = wv.solve_wave(kernel, wv.WaveParams(u_c, -u_c), n=4096)
+        assert profile.converged
+        res, h = wv.pointwise_residual(profile, kernel)
+        # 1.31e-3 at x = -0.9998 without the collar; the triangle table
+        # with zero end rows gives 1.44e-4
+        assert res <= 2e-4
 
     def test_residuals_below_threshold_wave(self):
         # amplitude 1.2 sits below the exp(k=1) continuity threshold

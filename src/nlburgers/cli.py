@@ -178,6 +178,9 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         "length": profile.grid.length,
         "grid_n": profile.grid.n,
         "iterations": profile.iterations,
+        "sweeps": {name: trace.kinds.count(kind) for name, kind in (
+            ("plain", waves.PLAIN_SWEEP), ("candidate", waves.CANDIDATE_SWEEP),
+            ("discarded", waves.DISCARDED_CANDIDATE))},
         "final_sup_diff": profile.final_sup_diff,
         "jump": profile.jump,
         "classification": profile.classification,

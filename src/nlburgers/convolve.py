@@ -273,6 +273,7 @@ class OddConvolver:
 
         # exact row integral: int_{-inf}^{inf} [K(x-y) - K(x+y)] 1_{y<0} dy
         self._exact_row = 1.0 - 2.0 * kernel.cdf(grid.nodes())
+        self._far_row = (None, None)
 
     # -- fast path ------------------------------------------------------
 
@@ -280,7 +281,12 @@ class OddConvolver:
         """K*u at the nodes for samples u_i = u(x_i), u = far_value on x <= -L."""
         d = values - far_value
         out = self._correlation(d[1:-1])
-        out += d[0] * self._end0 + d[-1] * self._endn + far_value * self._exact_row
+        # a solve passes the same far value on every sweep
+        far, far_row = self._far_row
+        if far_value != far:
+            far_row = far_value * self._exact_row
+            self._far_row = far_value, far_row
+        out += d[0] * self._end0 + d[-1] * self._endn + far_row
         out[-1] = 0.0  # odd function against an even kernel vanishes at 0
         return np.maximum(out, 0.0)
 

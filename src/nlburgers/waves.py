@@ -33,12 +33,18 @@ with rho = d_{k+1}/d_k the candidate is
 
 which takes most of the geometric tail of the dominant error mode in one
 step.  The previous sweep's check proved v_k - v_{k+1} >= 0, so the
-candidate moves down only.  It is swept only if it passes the iterate
-check against v_{k+1}, and kept only if its sweep's output passes the
-same check against the candidate; otherwise the candidate and its sweep
-are discarded and the next sweep runs plainly from v_{k+1}.  So every
-accepted iterate still descends and stays inside the bracket at 1e-10,
-and every swept candidate counts as a sweep.
+candidate moves down only; its origin sample is clamped at 0, the value
+the march's origin limit gives an underflowed sample, so a step that
+overshoots there alone does not cost the candidate.  A candidate is swept
+only if it passes the iterate check against v_{k+1}; one that fails is
+formed again at theta/2 and then theta/4 (EXTRAPOLATION_HALVINGS) before
+the sweep runs plainly from v_{k+1}.  A swept candidate is kept only if
+its sweep's output passes the same check against it; otherwise the
+candidate and its sweep are discarded, the next sweep runs plainly from
+v_{k+1}, and the next candidate starts one halving below the discarded
+one, at theta/4 at the lowest.  An accepted candidate puts theta back at
+0.7.  So every accepted iterate still descends and stays inside the
+bracket at 1e-10, and every swept candidate counts as a sweep.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ INVARIANT_TOL = 1e-10
 #: share of the geometric tail an extrapolated candidate takes; see the
 #: module docstring
 EXTRAPOLATION_THETA = 0.7
+
+#: halvings of EXTRAPOLATION_THETA a refused or discarded candidate's
+#: retries go down to
+EXTRAPOLATION_HALVINGS = 2
 
 #: kinds of trace row: a plain sweep, a sweep from an accepted candidate,
 #: and a discarded candidate's sweep
@@ -410,14 +420,23 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
     du = u0 - u1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = np.log1p(du / u1)
-        theta = np.where(du == 0.0, h / u1, h * q / du)
-        origin = ~np.isfinite(theta)
-        theta[origin] = np.inf
+        theta = h * q / du
+        flat = np.flatnonzero(du == 0.0)
+        theta[flat] = h / u1[flat]
+        # only the last cell's u1 can underflow: _defects keeps interior
+        # samples >= FLOOR_DELTA
+        origin = not np.isfinite(theta[-1])
+        if origin:
+            theta[-1] = np.inf
         r = np.exp(-theta)
         z = q - theta
-        m = (u1 * theta / h) * np.where(z == 0.0, 1.0, np.expm1(z) / z)
-        w1 = np.where(origin, 1.0, np.clip(1.0 - m, 0.0, None))
-        w0 = np.where(origin, 0.0, np.clip(1.0 - r - w1, 0.0, None))
+        m = np.expm1(z) / z
+        m[z == 0.0] = 1.0
+        m *= u1 * theta / h
+        w1 = np.maximum(1.0 - m, 0.0)
+        w0 = np.maximum(1.0 - r - w1, 0.0)
+    if origin:
+        w1[-1], w0[-1] = 1.0, 0.0
     b = w0 * g[:-1] + w1 * g[1:]
     return _scan(r, b, left_value)
 
@@ -441,11 +460,16 @@ def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
     out[1:] = b
     out[1] += r[0] * x0
     a, c = r.copy(), out[1:]
+    # one work array: it takes each round's products a_i c_{i-k}, then
+    # the new a_i, and trades places with a (whose cells i < 2k no later
+    # round reads)
+    tmp = np.empty(n)
     k = 1
     while k < n:
-        c[k:] += a[k:] * c[:-k]
-        # not *=: the operands overlap, so numpy would copy one first
-        a[2 * k:] = a[2 * k:] * a[k:-k]
+        np.multiply(a[k:], c[:-k], out=tmp[k:])
+        c[k:] += tmp[k:]
+        np.multiply(a[2 * k:], a[k:-k], out=tmp[2 * k:])
+        a, tmp = tmp, a
         k *= 2
     return out
 
@@ -543,7 +567,10 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     Sweeps from extrapolated candidates (see the module docstring) count
     toward ``max_iter`` and the trace like plain sweeps; a discarded
     candidate's sweep has a trace row of kind DISCARDED_CANDIDATE and never
-    becomes an iterate.  _defects checks each iterate once, after its sweep;
+    becomes an iterate.  A candidate refused before its sweep is retried
+    at theta/2 and theta/4 and costs no sweep; after a discard the next
+    candidate starts one halving lower, and after an accepted one at
+    theta again.  _defects checks each iterate once, after its sweep;
     sweeps run unchecked (_sweep) on the supersolution or checked arrays.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
@@ -595,22 +622,32 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     # candidate)
     v, sup_diff = supersolution(params, grid), None
     back, back_diff = None, None
+    # halvings of theta the next candidate starts at
+    lowered = 0
     converged = False
     while trace.iterations < max_iter:
         start, kind = v, PLAIN_SWEEP
         if back_diff is not None and back_diff > sup_diff > 0.0:
-            rho = sup_diff / back_diff
-            candidate = v - (EXTRAPOLATION_THETA * rho / (1.0 - rho)) * (back - v)
-            if not any(_defects(candidate, v, floor, ceiling)):
-                start, kind = candidate, CANDIDATE_SWEEP
+            rho, descent = sup_diff / back_diff, back - v
+            for halvings in range(lowered, EXTRAPOLATION_HALVINGS + 1):
+                theta = EXTRAPOLATION_THETA * 0.5**halvings
+                candidate = v - (theta * rho / (1.0 - rho)) * descent
+                candidate[-1] = max(candidate[-1], 0.0)
+                if not any(_defects(candidate, v, floor, ceiling)):
+                    start, kind = candidate, CANDIDATE_SWEEP
+                    break
         w = _sweep(start, params.u_c, convolver)
         mono, ordering, collapsed = _defects(w, start, floor, ceiling)
         diff = float(np.max(np.abs(w - start)))
         if kind == CANDIDATE_SWEEP and (mono or ordering or collapsed):
-            # not an iterate: v stays, and the next sweep is plain from it
+            # not an iterate: v stays, the next sweep is plain from it, and
+            # the next candidate starts one halving lower
             trace.record(diff, w[-1], 0, 0, DISCARDED_CANDIDATE)
             back_diff = None
+            lowered = min(halvings + 1, EXTRAPOLATION_HALVINGS)
             continue
+        if kind == CANDIDATE_SWEEP:
+            lowered = 0
         if collapsed:
             raise _collapse(w, grid)
         trace.record(diff, w[-1], mono, ordering, kind)

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import subprocess
@@ -151,6 +152,21 @@ class TestSolveCommand:
         assert max(sub["g_sup"], sub["g_limit"]) <= 1.0
         assert (out / "profile.csv").exists()
         assert (out / "trace.csv").exists()
+
+    def test_sweep_counts_add_up(self, tmp_path):
+        # u_c = 0.25 has plain, accepted and discarded candidate sweeps
+        code = run(["solve", "--kernel", "exp:k=1", "--u-minus", "0.25",
+                    "--u-plus", "-0.25", "--grid-n", "512",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "profile.meta.json").read_text())
+        sweeps = meta["sweeps"]
+        assert sum(sweeps.values()) == meta["iterations"]
+        with open(tmp_path / "trace.csv") as handle:
+            kinds = [row["kind"] for row in csv.DictReader(handle)]
+        counts = [sweeps[name] for name in ("plain", "candidate", "discarded")]
+        assert counts == [kinds.count(kind) for kind in "012"]
+        assert min(counts) > 0
 
     def test_invalid_params_error_json(self, tmp_path, capsys):
         code = run(["solve", "--kernel", "exp:k=1", "--u-minus", "1",

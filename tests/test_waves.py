@@ -594,12 +594,37 @@ def captured_sweeps(monkeypatch):
     return calls
 
 
+def candidate_steps(calls, trace):
+    """(sweep index, share of the plain rule's step, the plain rule's step)
+    for every swept candidate, from captured_sweeps' calls and the trace.
+
+    A candidate is formed right after the accepted sweep j - 1, which made v
+    from back; its rho is that sweep's sup change over the one of the
+    accepted sweep before it.  The share is fitted outside the origin,
+    where the candidate is never clamped."""
+    kinds, diffs = trace.kinds, trace.sup_diffs
+    accepted = [i for i, kind in enumerate(kinds) if kind != wv.DISCARDED_CANDIDATE]
+    steps = []
+    for j, kind in enumerate(kinds):
+        if kind == wv.PLAIN_SWEEP:
+            continue
+        assert kinds[j - 1] == wv.PLAIN_SWEEP
+        before = max(i for i in accepted if i < j - 1)
+        rho = diffs[j - 1] / diffs[before]
+        back, v = calls[j - 1]
+        plain = (wv.EXTRAPOLATION_THETA * rho / (1.0 - rho)) * (back - v)
+        step = (v - calls[j][0])[:-1]
+        steps.append((j, np.dot(step, plain[:-1]) / np.dot(plain[:-1], plain[:-1]),
+                      plain))
+    return steps
+
+
 class TestExtrapolation:
     # (kernel, u_c): n=4096 sweep counts at the parent commit, which swept
     # plainly from the supersolution, and the counts with extrapolation
     PINNED = [
-        (kk.exponential_kernel(1.0), 0.5, 206, 75),
-        (kk.gaussian_kernel(1.0), 0.5, 116, 64),
+        (kk.exponential_kernel(1.0), 0.5, 206, 63),
+        (kk.gaussian_kernel(1.0), 0.5, 116, 47),
         (kk.uniform_kernel(1.0), 0.5, 51, 23),
     ]
     # (kernel, u_c, plain error): sup distance of the plain tol 1e-8 solve
@@ -651,10 +676,11 @@ class TestExtrapolation:
         assert profile.iterations == pinned <= 0.6 * plain
 
     def test_candidate_failing_the_check_is_not_swept(self, monkeypatch):
-        # theta = 1e6 throws every candidate far below the bracket: each is
-        # refused before its sweep, and the solve takes the plain sweeps
+        # theta = 1e9 throws every candidate, at each of its halvings, far
+        # below the bracket: each is refused before its sweep, and the solve
+        # takes the plain sweeps
         kernel, u_c, plain, _ = self.PINNED[0]
-        monkeypatch.setattr(wv, "EXTRAPOLATION_THETA", 1e6)
+        monkeypatch.setattr(wv, "EXTRAPOLATION_THETA", 1e9)
         checked, defects = [], wv._defects
 
         def record(*args):
@@ -683,12 +709,51 @@ class TestExtrapolation:
         calls = captured_sweeps(monkeypatch)
         profile, _ = wv.solve_wave(EXP1, wv.WaveParams(0.25, -0.25), n=512)
         assert profile.converged
-        assert profile.iterations == len(calls) == 184
+        assert profile.iterations == len(calls) == 204
         rec = wv.classify_shock(kk.uniform_kernel(1.0), wv.WaveParams(1.0, -1.0),
                                 n=128)
         assert rec.profile.converged
         assert rec.profile.iterations == 15
-        assert len(calls) == 184 + 45
+        assert len(calls) == 204 + 45
+
+    def test_candidate_clamped_at_the_origin_is_swept(self, monkeypatch):
+        # at u_c = 0.369 the extrapolated origin sample drops below 0 while
+        # every other sample passes the check; clamped at 0, it is swept
+        calls = captured_sweeps(monkeypatch)
+        profile, trace = wv.solve_wave(EXP1, wv.WaveParams(0.369, -0.369), n=512)
+        assert profile.converged
+        clamped = 0
+        for j, share, plain in candidate_steps(calls, trace):
+            v = calls[j - 1][1]
+            if calls[j][0][-1] == 0.0 < v[-1]:
+                assert v[-1] - share * plain[-1] < 0.0
+                clamped += 1
+        assert clamped > 0
+
+    def test_refused_and_discarded_candidates_take_halved_steps(self, monkeypatch):
+        # the rule replayed from the trace: a candidate starts at theta
+        # halved `lowered` times and, refused there, is retried at each
+        # further halving down to theta/4; a discard sets `lowered` one
+        # below the discarded candidate, an accepted candidate resets it
+        calls = captured_sweeps(monkeypatch)
+        profile, trace = wv.solve_wave(kk.triangular_kernel(1.0),
+                                       wv.WaveParams(0.246, -0.246), n=4096)
+        assert profile.converged
+        lowered, halved = 0, False
+        retried = halved_after_discard = restored = 0
+        for j, share, _ in candidate_steps(calls, trace):
+            halvings = round(-np.log2(share))
+            assert abs(share - 0.5**halvings) <= 1e-3
+            assert lowered <= halvings <= wv.EXTRAPOLATION_HALVINGS
+            retried += halvings > lowered
+            halved_after_discard += lowered == halvings == 1
+            restored += halved and lowered == halvings == 0
+            halved = halvings > 0
+            if trace.kinds[j] == wv.DISCARDED_CANDIDATE:
+                lowered = min(halvings + 1, wv.EXTRAPOLATION_HALVINGS)
+            else:
+                lowered = 0
+        assert retried > 0 and halved_after_discard > 0 and restored > 0
 
     @pytest.mark.parametrize("kernel, u_c, plain_error", PLAIN_ERRORS,
                              ids=["exp", "gauss"])

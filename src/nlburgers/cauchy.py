@@ -9,17 +9,25 @@ condition and a fixed cap for the relaxation term.
 The simulator's job in this package is to confirm that computed wave
 profiles actually translate at the Rankine-Hugoniot speed and to exhibit
 the finite-time gradient steepening of generic smooth data.
+
+The step's floating-point operations and their order are fixed.  The
+flux difference and the update work in place on fresh arrays, but each
+evaluates exactly the expression kept in ``tests/oracles.py``, and a test
+holds the step to it bit for bit.  That keeps every run's snapshots, and
+the CLI files written from them, byte-identical when the step is made
+faster; reordering a sum or a product would move them by rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .convolve import FullLineConvolver
 from .kernels import Kernel
-from .waves import WaveProfile, write_columns
+from .waves import WaveProfile, format_cells, write_rows
 
 #: hard cap on the explicit step for the stiff-free relaxation term
 DT_CAP = 0.5
@@ -46,8 +54,11 @@ class SimConfig:
     snapshot_interval: float = 0.25
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.a, self.b, self.t_end))):
-            raise ValueError("domain ends and end time must be finite")
+        # a NaN far state would pass the far-field check, whose comparisons
+        # are then all false, and fail the run steps later
+        if not np.all(np.isfinite((self.a, self.b, self.t_end, self.u_left,
+                                   self.u_right))):
+            raise ValueError("domain ends, end time and far states must be finite")
         if not self.a < self.b:
             raise ValueError("need a < b")
         if not isinstance(self.m, (int, np.integer)):
@@ -114,17 +125,33 @@ def _check_far_fields(state: SimState, cfg: SimConfig):
 
 
 def _rusanov_flux_diff(u: np.ndarray, u_left: float, u_right: float) -> np.ndarray:
-    """F_{j+1/2} - F_{j-1/2} with constant ghost states."""
-    ext = np.concatenate([[u_left], u, [u_right]])
-    size, square = np.abs(ext), ext * ext
+    """F_{j+1/2} - F_{j-1/2} with constant ghost states, where
+    F = 0.25 (a^2 + b^2) - 0.5 max(|a|, |b|) (b - a) at each face."""
+    ext = np.empty(u.size + 2)
+    ext[0], ext[1:-1], ext[-1] = u_left, u, u_right
+    size = np.abs(ext)
     speed = np.maximum(size[:-1], size[1:])
-    flux = 0.25 * (square[:-1] + square[1:]) - 0.5 * speed * (ext[1:] - ext[:-1])
+    square = np.multiply(ext, ext, out=size)
+    jump = ext[1:] - ext[:-1]
+    speed *= 0.5
+    speed *= jump
+    flux = np.add(square[:-1], square[1:], out=jump)
+    flux *= 0.25
+    flux -= speed
     return flux[1:] - flux[:-1]
 
 
 def _explicit_update(u, conv, dt, dx, u_left, u_right):
-    """Forward Euler: advection by Rusanov fluxes plus unsplit relaxation."""
-    return u - (dt / dx) * _rusanov_flux_diff(u, u_left, u_right) + dt * (conv - u)
+    """Forward Euler: advection by Rusanov fluxes plus unsplit relaxation,
+    u - (dt / dx) (F_{j+1/2} - F_{j-1/2}) + dt (conv - u).  Overwrites
+    ``conv``."""
+    out = _rusanov_flux_diff(u, u_left, u_right)
+    out *= dt / dx
+    np.subtract(u, out, out=out)
+    conv -= u
+    conv *= dt
+    out += conv
+    return out
 
 
 def _cfl_dt(umax: float, cfg: SimConfig) -> float:
@@ -153,21 +180,36 @@ def step(state: SimState, cfg: SimConfig, convolver: FullLineConvolver,
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-snapshot slope and variation diagnostics."""
+    """Snapshots plus per-snapshot slope, variation, mass and band
+    diagnostics.
+
+    ``mass_drifts`` is dx sum u(t) - dx sum u(t0) - (t - t0) (u_left^2 -
+    u_right^2) / 2, with t0 the first snapshot's time: the mass gained beyond
+    the net inflow of the far-field fluxes.
+    ``band_margins`` is the distance of the cell averages from the edge of
+    the band that ``simulate`` enforces, min(min u - lo, hi - max u).
+    """
 
     config: SimConfig
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     max_slopes: list = field(default_factory=list)
     total_variations: list = field(default_factory=list)
+    mass_drifts: list = field(default_factory=list)
+    band_margins: list = field(default_factory=list)
 
-    def add(self, state: SimState):
-        dx = self.config.dx
+    def add(self, state: SimState, band_margin: float):
+        cfg = self.config
         self.times.append(float(state.t))
         self.snapshots.append(state.u.copy())
         du = np.abs(np.diff(state.u))
-        self.max_slopes.append(float(np.max(du) / dx))
+        self.max_slopes.append(float(np.max(du) / cfg.dx))
         self.total_variations.append(float(np.sum(du)))
+        mass0 = cfg.dx * float(np.sum(self.snapshots[0]))
+        flux_in = 0.5 * (cfg.u_left ** 2 - cfg.u_right ** 2)
+        inflow = (self.times[-1] - self.times[0]) * flux_in
+        self.mass_drifts.append(cfg.dx * float(np.sum(state.u)) - mass0 - inflow)
+        self.band_margins.append(band_margin)
 
     @property
     def final(self) -> SimState:
@@ -191,7 +233,7 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     hi = max(cfg.u_left, cfg.u_right, mx) + BAND_SLACK
 
     traj = Trajectory(cfg)
-    traj.add(init)
+    traj.add(init, min(mn - lo, hi - mx))
     state = init
     next_snap = cfg.snapshot_interval
     while state.t < cfg.t_end - 1e-12:
@@ -205,7 +247,7 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
                 f"at t = {state.t:.6g}"
             )
         if state.t >= target - 1e-12:
-            traj.add(state)
+            traj.add(state, min(mn - lo, hi - mx))
             next_snap = target + cfg.snapshot_interval
     return traj
 
@@ -264,8 +306,11 @@ def l1_distance_to_translate(state: SimState, profile: WaveProfile) -> float:
 
 
 def write_snapshots_csv(traj: Trajectory, path):
-    """Long-format CSV 't,x,u', one row per (snapshot, cell)."""
-    x = traj.config.centers()
-    write_columns(path, ["t", "x", "u"],
-                  [np.repeat(traj.times, x.size), np.tile(x, len(traj.times)),
-                   np.concatenate(traj.snapshots)])
+    """Long-format CSV 't,x,u', one row per (snapshot, cell), as
+    ``write_columns`` writes it.  Each time and each cell center is
+    formatted once, and one snapshot at a time is held as text."""
+    x = format_cells(traj.config.centers())
+    with open(path, "w", newline="\n") as handle:
+        handle.write("t,x,u\n")
+        for t, u in zip(format_cells(traj.times), traj.snapshots, strict=True):
+            write_rows(handle, [repeat(t, len(x)), x, format_cells(u)])

@@ -377,6 +377,8 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         "times": traj.times,
         "max_slope": traj.max_slopes,
         "total_variation": traj.total_variations,
+        "mass_drift": traj.mass_drifts,
+        "band_margin": traj.band_margins,
         "slope_growth": traj.slope_growth(),
     }
     if sim_cfg.u_left != sim_cfg.u_right:

@@ -880,14 +880,25 @@ def jump_identity(profile: WaveProfile, kernel: Kernel) -> float:
 # ----------------------------------------------------------------------
 
 
+def format_cells(column) -> list:
+    """The cells of one numeric column: the repr of each Python value (never
+    of a numpy scalar), which reads back exactly and holds no comma, quote
+    or newline to escape."""
+    return list(map(repr, np.asarray(column).tolist()))
+
+
+def write_rows(handle, columns):
+    """Equal-length columns of cells as comma-separated lines."""
+    text = "\n".join(map(",".join, zip(*columns, strict=True)))
+    if text:
+        handle.write(text + "\n")
+
+
 def write_columns(path, header, columns):
-    """Equal-length numeric columns as a header line and one row per index.
-    A cell is the repr of the Python value (never of a numpy scalar), which
-    reads back exactly and holds no comma, quote or newline to escape."""
-    cells = (map(repr, np.asarray(col).tolist()) for col in columns)
+    """Equal-length numeric columns as a header line and one row per index."""
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        write_rows(handle, [format_cells(col) for col in columns])
 
 
 def write_profile_csv(profile: WaveProfile, path):

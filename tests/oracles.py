@@ -1,4 +1,4 @@
-"""Adaptive quadrature oracles for the test suite.
+"""Adaptive quadrature and finite-volume step oracles for the test suite.
 
 The package computes every kernel constant from a closed form; these
 routines recompute them from the density alone, independently of those
@@ -11,6 +11,10 @@ enough for an even-power error expansion, which is what makes the
 Richardson acceleration valid.
 
 Integrands are expected to be vectorized (ndarray -> ndarray).
+
+The step oracles at the end evaluate the simulator's explicit step as
+plain out-of-place array expressions; the package must match them bit
+for bit.
 """
 
 import numpy as np
@@ -107,3 +111,34 @@ def cdf_quadrature(kernel, x):
     cuts.update(s * b for b in kernel.breakpoints() for s in (-1.0, 1.0))
     edges = sorted(c for c in cuts if -r <= c <= min(x, r))
     return refine_segments(kernel.density, edges)
+
+
+# ----------------------------------------------------------------------
+# the finite-volume step, as plain array expressions
+# ----------------------------------------------------------------------
+
+
+def rusanov_flux_diff(u, u_left, u_right):
+    """F_{j+1/2} - F_{j-1/2} with constant ghost states, one expression
+    per quantity; the package computes the same operations in place."""
+    ext = np.concatenate([[u_left], u, [u_right]])
+    size, square = np.abs(ext), ext * ext
+    speed = np.maximum(size[:-1], size[1:])
+    flux = 0.25 * (square[:-1] + square[1:]) - 0.5 * speed * (ext[1:] - ext[:-1])
+    return flux[1:] - flux[:-1]
+
+
+def full_line_apply(plan, values, u_left, u_right):
+    """FullLineConvolver.apply without its cached far-state tail and with
+    an out-of-place spectrum product."""
+    toeplitz = plan._toeplitz
+    spec = np.fft.rfft(plan._weights * values, toeplitz.nfft) * toeplitz._ft
+    out = np.fft.irfft(spec, toeplitz.nfft)[toeplitz._lo:toeplitz._hi]
+    out += u_left * plan._tail_left + u_right * plan._tail_right
+    return out / plan._row
+
+
+def explicit_step(u, plan, dt, dx, u_left, u_right):
+    """One forward-Euler step: Rusanov advection plus unsplit relaxation."""
+    conv = full_line_apply(plan, u, u_left, u_right)
+    return u - (dt / dx) * rusanov_flux_diff(u, u_left, u_right) + dt * (conv - u)

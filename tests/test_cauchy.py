@@ -12,6 +12,7 @@ from nlburgers import kernels as kk
 from nlburgers import waves as wv
 from nlburgers.cauchy import _explicit_update, _rusanov_flux_diff
 from nlburgers.convolve import FullLineConvolver
+from oracles import explicit_step
 
 EXP1 = kk.exponential_kernel(1.0)
 
@@ -36,6 +37,16 @@ class TestConfig:
         kwargs = dict(a=-1.0, b=1.0, m=200, t_end=1.0, u_left=0, u_right=0)
         kwargs[field] = value
         with pytest.raises(ValueError, match="finite"):
+            cy.SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("u_left", np.nan), ("u_right", np.nan), ("u_right", -np.inf)])
+    def test_non_finite_far_state_rejected(self, field, value):
+        # a NaN far state passes the far-field check, whose comparisons are
+        # all false, and would fail the run steps later
+        kwargs = dict(a=-1.0, b=1.0, m=200, t_end=1.0, u_left=0, u_right=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="far states must be finite"):
             cy.SimConfig(**kwargs)
 
     def test_cell_count_must_be_an_integer(self):
@@ -82,6 +93,31 @@ class TestStep:
         ]
         got = _explicit_update(u, conv, dt, dx, u_left, u_right)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("init", ["random", "riemann"])
+    def test_step_is_bitwise_the_expression_oracle(self, init):
+        # the in-place step evaluates the oracle's expressions in their
+        # order; int64 views tell -0.0 from 0.0
+        cfg = cy.SimConfig(a=-40.0, b=40.0, m=400, t_end=1.0,
+                           u_left=1.5, u_right=-0.75)
+        x = cfg.centers()
+        rng = np.random.default_rng(7)
+        if init == "random":
+            u = rng.uniform(-2.0, 2.0, cfg.m)
+            u[::37] = 0.0
+            u[::41] = -0.0
+            u[0], u[-1] = cfg.u_left, cfg.u_right
+        else:
+            u = np.where(x < 0.0, cfg.u_left, cfg.u_right)
+        state = cy.SimState(x, u, 0.5)
+        conv = FullLineConvolver(EXP1, x)
+        for _ in range(3):
+            dt = cy.stable_dt(state.u, cfg)
+            want = explicit_step(state.u, conv, dt, cfg.dx, cfg.u_left, cfg.u_right)
+            got = cy.step(state, cfg, conv, dt)
+            assert np.array_equal(got.u.view(np.int64), want.view(np.int64))
+            assert got.t == state.t + dt
+            state = got
 
     def test_non_finite_update_names_the_time(self):
         # the state check alone refuses a NaN update, naming the new time;
@@ -179,6 +215,19 @@ class TestSimulate:
             assert len(traj.snapshots) == len(want)
             for got, ref in zip(traj.snapshots, want):
                 assert np.array_equal(got, ref)
+
+    def test_mass_and_band_reported_per_snapshot(self):
+        # the inflow (u_left^2 - u_right^2) / 2 accounts for the mass change;
+        # the band starts BAND_SLACK away from the data
+        cfg = cy.SimConfig(a=-40.0, b=40.0, m=1000, t_end=2.0, u_left=2.0,
+                           u_right=-0.5, snapshot_interval=0.25)
+        init = cy.initial_state(cfg, lambda x: 0.75 - 1.25 * np.tanh(3.0 * x))
+        traj = cy.simulate(init, EXP1, cfg)
+        assert len(traj.mass_drifts) == len(traj.band_margins) == len(traj.times) == 9
+        assert traj.mass_drifts[0] == 0.0
+        assert max(map(abs, traj.mass_drifts)) <= 1e-9
+        assert traj.band_margins[0] == pytest.approx(cy.BAND_SLACK, abs=1e-12)
+        assert all(0.0 < m <= cy.BAND_SLACK + 1e-12 for m in traj.band_margins)
 
     def test_flat_data_stays_flat(self):
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=256, t_end=1.0,
@@ -308,3 +357,25 @@ class TestProfileCoupling:
                 for xi, ui in zip(x, u):
                     writer.writerow([repr(float(t)), repr(float(xi)), repr(float(ui))])
         assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_snapshot_csv_is_the_long_table(self, tmp_path, count):
+        # the streaming writer against write_columns on the repeated and
+        # tiled columns, with values whose repr is long, signed or subnormal
+        cfg = cy.SimConfig(a=-1.0, b=1.0, m=128, t_end=1.0,
+                           u_left=0.0, u_right=0.0)
+        x = cfg.centers()
+        special = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+        traj = cy.Trajectory(cfg)
+        for k in range(count):
+            traj.times.append(special[k])
+            u = np.sin(x * (k + 1.0))
+            u[:4] = special
+            traj.snapshots.append(u)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cy.write_snapshots_csv(traj, got)
+        snapshots = np.concatenate(traj.snapshots) if count else []
+        wv.write_columns(want, ["t", "x", "u"],
+                         [np.repeat(traj.times, cfg.m), np.tile(x, count), snapshots])
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == 1 + count * cfg.m

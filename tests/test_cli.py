@@ -395,6 +395,10 @@ class TestSimulateCommand:
         assert code == 0
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert max(diag["max_slope"]) == 0.0
+        # a constant state gains no mass and keeps its band margin
+        assert diag["mass_drift"] == [0.0] * len(diag["times"])
+        assert diag["band_margin"] == pytest.approx([cy.BAND_SLACK] * len(diag["times"]),
+                                                    abs=1e-15)
         lines = (tmp_path / "snapshots.csv").read_text().splitlines()
         assert lines[0] == "t,x,u"
 
@@ -457,6 +461,20 @@ class TestSimulateCommand:
                     "--init-from", str(bad), "--out-dir", str(tmp_path)])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SimulationError"
+
+    def test_non_finite_far_state_refused(self, tmp_path, capsys):
+        # a table whose ends match no far state: before SimConfig refused
+        # NaN, the far-field check let it through and a later step failed
+        table = tmp_path / "profile.csv"
+        table.write_text("x,U\n-1,1\n1,-1\n")
+        code = run(["simulate", "--init-from", str(table), "--u-left", "nan",
+                    "--u-right", "-1", "--cells", "256", "--t-end", "1",
+                    "--out-dir", str(tmp_path / "sim")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "far states must be finite" in err["message"]
+        assert not (tmp_path / "sim" / "diagnostics.json").exists()
 
     @pytest.mark.parametrize("rows", ["1,1\n0,0.5\n-1,-1\n", "0,1\n0,1\n",
                                       "0,1\n"], ids=["decreasing", "repeated", "one_row"])

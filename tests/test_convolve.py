@@ -434,6 +434,20 @@ class TestFullLine:
         out = cv.FullLineConvolver(ker, x).apply(u, u_left, u_right)
         np.testing.assert_allclose(out, direct, rtol=0, atol=1e-10)
 
+    def test_far_state_cache_follows_its_key(self):
+        # far pairs A, B, A on one plan give what fresh plans give, to the
+        # bit, and the returned arrays are independent
+        x = np.linspace(-40.0, 40.0, 801)
+        u = np.tanh(x) + 0.3 * np.sin(x)
+        ker = kk.gaussian_kernel(1.0)
+        plan = cv.FullLineConvolver(ker, x)
+        pairs = [(-0.8, 1.2), (1.2, -0.8), (-0.8, 1.2), (0.0, 0.0), (-0.0, -0.0)]
+        got = [plan.apply(u, *pair) for pair in pairs]
+        for pair, out in zip(pairs, got):
+            fresh = cv.FullLineConvolver(ker, x).apply(u, *pair)
+            assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
+        assert not np.shares_memory(got[0], got[2])
+
     def test_domain_too_short(self):
         x = np.linspace(-3.0, 3.0, 200)
         with pytest.raises(cv.GridKernelError):

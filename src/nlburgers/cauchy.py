@@ -10,12 +10,14 @@ The simulator's job in this package is to confirm that computed wave
 profiles actually translate at the Rankine-Hugoniot speed and to exhibit
 the finite-time gradient steepening of generic smooth data.
 
-The step's floating-point operations and their order are fixed.  The
-flux difference and the update work in place on fresh arrays, but each
-evaluates exactly the expression kept in ``tests/oracles.py``, and a test
-holds the step to it bit for bit.  That keeps every run's snapshots, and
-the CLI files written from them, byte-identical when the step is made
-faster; reordering a sum or a product would move them by rounding.
+The step's floating-point operations and their order are fixed for a
+given convolution plan.  The flux difference and the update work in place
+on fresh arrays, but each evaluates exactly the expression kept in
+``tests/oracles.py``, and a test holds the step to it bit for bit.  That
+keeps every run's snapshots, and the CLI files written from them,
+byte-identical when the step is made faster; reordering a sum or a
+product would move them by rounding.  A plan of another FFT length (the
+full-line band sizes it) moves them by rounding too.
 """
 
 from __future__ import annotations
@@ -188,6 +190,8 @@ class Trajectory:
     the net inflow of the far-field fluxes.
     ``band_margins`` is the distance of the cell averages from the edge of
     the band that ``simulate`` enforces, min(min u - lo, hi - max u).
+    ``convolution`` describes the full-line plan: its FFT length, its band
+    in cells and the kernel mass beyond the band.
     """
 
     config: SimConfig
@@ -197,6 +201,7 @@ class Trajectory:
     total_variations: list = field(default_factory=list)
     mass_drifts: list = field(default_factory=list)
     band_margins: list = field(default_factory=list)
+    convolution: dict = field(default_factory=dict)
 
     def add(self, state: SimState, band_margin: float):
         cfg = self.config
@@ -224,6 +229,15 @@ class Trajectory:
 def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     """Step to t_end, landing exactly on snapshot times and on t_end; every
     step must stay in the max-principle band, widened by BAND_SLACK."""
+    # a state sampled for another grid would step at the wrong dx, or
+    # report its data at the config's centers
+    x = cfg.centers()
+    if init.x.shape != x.shape:
+        raise SimulationError(f"initial state has {init.x.size} cells, the config {cfg.m}")
+    offset = float(np.max(np.abs(init.x - x)))
+    if offset > 1e-12 * (cfg.b - cfg.a):
+        raise SimulationError(
+            f"initial cells are off the config's cell centers by up to {offset:.6g}")
     _check_far_fields(init, cfg)
     convolver = FullLineConvolver(kernel, init.x)
     # the band check's min and max of each state also give the next step's
@@ -232,7 +246,9 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     lo = min(cfg.u_left, cfg.u_right, mn) - BAND_SLACK
     hi = max(cfg.u_left, cfg.u_right, mx) + BAND_SLACK
 
-    traj = Trajectory(cfg)
+    traj = Trajectory(cfg, convolution={"fft_length": convolver._nfft,
+                                        "band_cells": convolver.band,
+                                        "dropped_mass": convolver.dropped_mass})
     traj.add(init, min(mn - lo, hi - mx))
     state = init
     next_snap = cfg.snapshot_interval

@@ -380,6 +380,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         "mass_drift": traj.mass_drifts,
         "band_margin": traj.band_margins,
         "slope_growth": traj.slope_growth(),
+        "convolution": traj.convolution,
     }
     if sim_cfg.u_left != sim_cfg.u_right:
         level = cfg["level"]

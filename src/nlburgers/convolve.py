@@ -17,12 +17,17 @@ inherited exactly by the discrete operator.  On the half line the field
 is linear between coarse nodes, so the fine-grid sum is evaluated exactly
 on the coarse nodes by product integration: each coarse sample multiplies
 a hat-weighted column of fine kernel samples.  Both geometries then reduce
-to one "valid" correlation of a length-G generator with a length-V input,
-evaluated by one real FFT round trip of at least G points.  The half line
-folds its Hankel (mirror) term into the same spectrum and drops the two
-end nodes, which exact end columns carry, so its FFT length is at least
-2N - 1.  Direct summation on the fine grid, kept in the test suite, is
-the reference, and the fast path must match it to 1e-10.
+to one primitive: a window [lo, hi) of the linear correlation of a
+length-G generator with a length-V input, by one real FFT round trip.
+The window stays free of wrap-around at max(hi, G + V - 1 - lo) points,
+and the FFT length is the next fast one.  The half line takes the "valid"
+window [V - 1, G) of its full generators and folds its Hankel (mirror)
+term into the same spectrum; it drops the two end nodes, which exact end
+columns carry, so its length is at least 2N - 1.  The full line samples
+the kernel only over its numerical support, a band of B cells, so m + 1
+samples need m + 1 + B points.  Direct summation on the fine grid, kept
+in the test suite, is the reference, and the fast path must match it to
+1e-10.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ REFINE_DEFAULT = 8
 #: wave solver picks for itself keep this below SOLVER_TAIL_TOL instead
 TAIL_TOL = 1e-6
 SOLVER_TAIL_TOL = 1e-10
+
+#: kernel mass the full-line band may leave out: eps / 16 = 2^-56, below
+#: the rounding of a float64 row sum of unit mass
+ROUNDING_TAIL = np.finfo(float).eps / 16
 
 
 class GridKernelError(ValueError):
@@ -144,27 +153,31 @@ def _fast_length(n: int) -> int:
 
 
 class _Toeplitz:
-    """Valid correlation of a generator c of length G with inputs v of
-    length V <= G:
+    """A window of the linear correlation of a generator c of length G
+    with inputs v of length V:
 
-        y_i = sum_j c[i + V - 1 - j] v_j - sum_j b[i + j] v_j,
-        i = 0..G - V,
+        y_k = sum_j c[k - j] v_j - sum_j b[k - j] v_{V-1-j},
+        k = lo..hi - 1,
 
-    a Toeplitz product minus, when a second generator b of length G is
-    given, a Hankel one (b correlated with the reversed input).
+    entries of the full product (k = 0..G + V - 2), minus, when a second
+    generator b of length G is given, b's product with the reversed input
+    (a Hankel product).  The default window [V - 1, G) is the "valid"
+    part, where every input meets the generator at an index in [0, G - 1].
 
-    Every index lies in [0, G - 1], so a circular convolution of at least
-    G points never wraps into the kept outputs; the FFT length is the next
-    fast one.  With F = rfft(v) and w = exp(-2 pi i / nfft), the
-    zero-padded reversed input has the spectrum w^((V-1)k) conj(F_k), so
-    b's spectrum is stored with that phase, as the rfft of b rotated by
-    V - 1, and both products share one rfft and one irfft.
+    A circular convolution of nfft points adds y_{k + nfft} and y_{k - nfft}
+    to y_k.  The kept outputs stay free of both when nfft >= hi and
+    nfft >= G + V - 1 - lo, so the FFT length is the next fast one above
+    both.  With F = rfft(v) and w = exp(-2 pi i / nfft), the zero-padded
+    reversed input has the spectrum w^((V-1)k) conj(F_k), so b's spectrum
+    is stored with that phase, as the rfft of b rotated by V - 1, and both
+    products share one rfft and one irfft.
     """
 
     def __init__(self, generator: np.ndarray, size: int,
+                 window: Optional[tuple] = None,
                  hankel: Optional[np.ndarray] = None):
-        self._lo, self._hi = size - 1, generator.size
-        self.nfft = _fast_length(generator.size)
+        self._lo, self._hi = (size - 1, generator.size) if window is None else window
+        self.nfft = _fast_length(max(self._hi, generator.size + size - 1 - self._lo))
         self._ft = rfft(generator, self.nfft)
         self._fh = None
         if hankel is not None:
@@ -301,9 +314,16 @@ class OddConvolver:
 class FullLineConvolver:
     """K*u on uniform samples of [a, b] with constant states outside.
 
-    Quadrature is trapezoid on the sample points themselves.  Rows are
-    normalized to unit sum (trapezoid weights plus the two CDF tail terms),
-    so constants are reproduced exactly: K*c = c.
+    Quadrature is trapezoid on the sample points themselves, over the
+    offsets |y| <= R with R = kernel.radius(ROUNDING_TAIL): the band of
+    B = min(m, ceil(R / dx)) cells on either side of each sample.  The
+    kernel mass beyond it is below float64 rounding of a unit-mass row, so
+    the band changes results by rounding only; kernels of exact support
+    (uniform, triangular, tabulated) drop nothing.  A band-limited
+    generator of 2B + 1 samples against m + 1 inputs needs m + 1 + B FFT
+    points, not 2m + 1; a band that covers the span gives the full plan.
+    Rows are normalized to unit sum (banded trapezoid weights plus the two
+    CDF tail terms), so constants are reproduced exactly: K*c = c.
     """
 
     def __init__(self, kernel: Kernel, x: np.ndarray):
@@ -323,10 +343,17 @@ class FullLineConvolver:
         self.x = x
 
         m = x.size - 1
+        b = min(m, int(np.ceil(kernel.radius(ROUNDING_TAIL) / dx[0])))
+        self.band = b
+        # kernel mass beyond the band, at most ROUNDING_TAIL; none when the
+        # band spans the domain, whose outside the CDF tails carry
+        self.dropped_mass = kernel.tail_mass(b * dx[0]) if b < m else 0.0
         self._weights = trapezoid_weights(m, dx[0])
-        self._toeplitz = _Toeplitz(kernel.density((np.arange(2 * m + 1) - m) * dx[0]),
-                                   m + 1)
-        self._nfft = self._toeplitz.nfft   # plan size, read by benchmark tracing
+        # K at offsets -B..B; output i is product entry i + B
+        self._toeplitz = _Toeplitz(kernel.density((np.arange(2 * b + 1) - b) * dx[0]),
+                                   m + 1, window=(b, b + m + 1))
+        # plan size, read by the simulator's run report and benchmark tracing
+        self._nfft = self._toeplitz.nfft
 
         self._tail_left = 1.0 - kernel.cdf(x - x[0])
         self._tail_right = kernel.cdf(x - x[-1])

@@ -229,6 +229,22 @@ class TestSimulate:
         assert traj.band_margins[0] == pytest.approx(cy.BAND_SLACK, abs=1e-12)
         assert all(0.0 < m <= cy.BAND_SLACK + 1e-12 for m in traj.band_margins)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"m": 2000}, "1000 cells, the config 2000"),
+        ({"a": -20.0, "b": 60.0}, "off the config's cell centers")],
+        ids=["cell_count", "domain"])
+    def test_initial_cells_must_be_the_config_cells(self, change, message):
+        # a state built for 1000 cells would step at the 2000-cell dx; one
+        # on [-40, 40] would run on [-20, 60] and report its data there
+        base = cy.SimConfig(a=-40.0, b=40.0, m=1000, t_end=0.5,
+                            u_left=1.0, u_right=-1.0)
+        init = cy.initial_state(base, lambda x: -np.tanh(x))
+        with pytest.raises(cy.SimulationError, match=message):
+            cy.simulate(init, EXP1, dataclasses.replace(base, **change))
+        # the same centers computed another way are accepted
+        moved = cy.SimState(np.linspace(-39.96, 39.96, 1000), init.u)
+        assert cy.simulate(moved, EXP1, base).times[-1] == 0.5
+
     def test_flat_data_stays_flat(self):
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=256, t_end=1.0,
                            u_left=0.0, u_right=0.0)

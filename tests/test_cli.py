@@ -402,6 +402,19 @@ class TestSimulateCommand:
         lines = (tmp_path / "snapshots.csv").read_text().splitlines()
         assert lines[0] == "t,x,u"
 
+    def test_convolution_plan_reported(self, tmp_path):
+        # exp:k=1 at 4000 cells on [-40, 40]: a band of 1941 cells beyond
+        # which the kernel mass is below 2^-56, so 6000 FFT points
+        code = run(["simulate", "--kernel", "exp:k=1", "--cells", "4000",
+                    "--t-end", "0.25", "--out-dir", str(tmp_path)])
+        assert code == 0
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        conv = diag["convolution"]
+        assert sorted(conv) == ["band_cells", "dropped_mass", "fft_length"]
+        assert conv["fft_length"] == 6000
+        assert conv["band_cells"] == 1941
+        assert 0.0 < conv["dropped_mass"] <= 2.0 ** -56
+
     def test_tanh_init_and_level(self, tmp_path):
         code = run(["simulate", "--kernel", "exp:k=1", "--u-left", "2",
                     "--u-right", "0", "--cells", "256", "--t-end", "1",

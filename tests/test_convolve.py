@@ -287,6 +287,21 @@ class TestToeplitz:
         t_rev = toeplitz(b[v - 1:], b[v - 1::-1]) @ x[::-1]
         np.testing.assert_allclose(got, t @ x - t_rev, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("g, v, lo, hi", [(5, 9, 2, 11), (7, 40, 3, 43),
+                                              (129, 64, 0, 192), (64, 129, 100, 150),
+                                              (31, 31, 30, 31)])
+    def test_any_window_of_the_full_product(self, g, v, lo, hi):
+        # non-decaying generators again: the FFT length max(hi, G + V - 1 - lo)
+        # is the least that keeps the window free of wrap-around
+        rng = np.random.default_rng(g * 1000 + v)
+        c = rng.uniform(-1.0, 1.0, g)
+        b = rng.uniform(-1.0, 1.0, g)
+        x = rng.uniform(-1.0, 1.0, v)
+        plan = cv._Toeplitz(c, v, window=(lo, hi), hankel=b)
+        assert plan.nfft == next_fast_len(max(hi, g + v - 1 - lo), real=True)
+        full = np.convolve(c, x) - np.convolve(b, x[::-1])
+        np.testing.assert_allclose(plan(x), full[lo:hi], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n", [64, 97, 512, 4096])
     def test_odd_plan_size(self, n):
         # the end nodes are dropped, so the odd plan's FFT spans 2N - 1
@@ -392,12 +407,17 @@ class TestBruteForce:
             assert abs(out[i] - oracle) <= 1e-6
 
 
+FULL_LINE_KERNELS = [kk.exponential_kernel(1.0), kk.gaussian_kernel(1.0),
+                     kk.uniform_kernel(1.0), kk.triangular_kernel(1.0),
+                     exponential_table_kernel()]
+
+
 class TestFullLine:
     def test_constants_are_exact(self):
         x = np.linspace(-40.0, 40.0, 2000)
-        out = cv.FullLineConvolver(kk.exponential_kernel(1.0), x).apply(
-            np.full(x.size, 3.0), 3.0, 3.0)
-        assert np.max(np.abs(out - 3.0)) <= 1e-12
+        for ker in FULL_LINE_KERNELS:
+            out = cv.FullLineConvolver(ker, x).apply(np.full(x.size, 3.0), 3.0, 3.0)
+            assert np.max(np.abs(out - 3.0)) <= 1e-12
 
     def test_step_closed_form_at_node(self):
         # grid chosen so x = -1 is a node and the step sits at x = 0
@@ -415,12 +435,13 @@ class TestFullLine:
         i = np.argmin(np.abs(x))
         assert abs(out[i]) <= 1e-11
 
-    @pytest.mark.parametrize("ker", [kk.exponential_kernel(1.0),
-                                     kk.uniform_kernel(1.0)], ids=lambda k: k.family)
+    @pytest.mark.parametrize("ker", FULL_LINE_KERNELS, ids=lambda k: k.family)
     def test_matches_direct_sum(self, ker):
+        # the plan sums over the kernel's band only; the dense rows take
+        # every offset, and the mass between them is below rounding
         x = np.linspace(-40.0, 40.0, 1201)
-        u = np.tanh(x) + 0.3 * np.sin(x)
-        u_left, u_right = -0.8, 1.2
+        plan = cv.FullLineConvolver(ker, x)
+        assert plan.band < x.size - 1
         dx = x[1] - x[0]
         w = np.full(x.size, dx)
         w[0] = w[-1] = 0.5 * dx
@@ -429,10 +450,70 @@ class TestFullLine:
         dens = ker.density(np.subtract.outer(idx, idx) * dx) * w
         tail_left = 1.0 - ker.cdf(x - x[0])
         tail_right = ker.cdf(x - x[-1])
-        direct = ((dens @ u + u_left * tail_left + u_right * tail_right)
-                  / (dens.sum(axis=1) + tail_left + tail_right))
-        out = cv.FullLineConvolver(ker, x).apply(u, u_left, u_right)
-        np.testing.assert_allclose(out, direct, rtol=0, atol=1e-10)
+        for u_left, u_right in [(-0.8, 1.2), (1.5, -2.0)]:
+            u = (0.5 * (u_left + u_right) - 0.5 * (u_left - u_right) * np.tanh(x)
+                 + 0.3 * np.sin(x))
+            direct = ((dens @ u + u_left * tail_left + u_right * tail_right)
+                      / (dens.sum(axis=1) + tail_left + tail_right))
+            out = plan.apply(u, u_left, u_right)
+            assert np.max(np.abs(out - direct)) <= 1e-14 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("cells", [1000, 2000, 4000])
+    @pytest.mark.parametrize("ker", FULL_LINE_KERNELS, ids=lambda k: k.family)
+    def test_band_sizes_the_plan(self, ker, cells):
+        # the band's outside mass is below ROUNDING_TAIL, and its FFT is
+        # the wrap-free m + 1 + B points, never more than the 2m + 1 of a
+        # generator over the whole domain
+        x = -40.0 + np.arange(cells + 1) * (80.0 / cells)
+        plan = cv.FullLineConvolver(ker, x)
+        dx = x[1] - x[0]
+        assert plan.band == min(cells, int(np.ceil(ker.radius(cv.ROUNDING_TAIL) / dx)))
+        assert plan._nfft == cv._fast_length(cells + 1 + plan.band)
+        assert plan._nfft <= cv._fast_length(2 * cells + 1)
+        assert plan.band < cells
+        assert ker.tail_mass(plan.band * dx) <= cv.ROUNDING_TAIL
+        assert plan.dropped_mass == ker.tail_mass(plan.band * dx)
+
+    def test_benchmark_grid_lengths(self):
+        # 4000 cells on [-40, 40]: 6000 points for exp, 4500 for gauss,
+        # against 8000 for a generator over the whole domain
+        x = -40.0 + (np.arange(4000) + 0.5) * 0.02
+        exp = cv.FullLineConvolver(kk.exponential_kernel(1.0), x)
+        gauss = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x)
+        assert (exp.band, exp._nfft) == (1941, 6000)
+        assert (gauss.band, gauss._nfft) == (427, 4500)
+
+    @pytest.mark.parametrize("ker", FULL_LINE_KERNELS[:2], ids=lambda k: k.family)
+    def test_band_over_the_whole_domain_is_the_full_plan(self, ker, monkeypatch):
+        # a span shorter than R: the band covers it, and plan and apply
+        # are bitwise those of a generator over all 2m + 1 offsets.  The
+        # span guard of 4 x radius(TAIL_TOL) exceeds R for every family
+        # kernel, so it is widened here to admit such a span
+        monkeypatch.setattr(cv, "TAIL_TOL", 0.5)
+        x = np.linspace(-0.4 * ker.radius(cv.ROUNDING_TAIL),
+                        0.4 * ker.radius(cv.ROUNDING_TAIL), 301)
+        m, dx = x.size - 1, x[1] - x[0]
+        plan = cv.FullLineConvolver(ker, x)
+        assert (plan.band, plan.dropped_mass) == (m, 0.0)
+        nfft = cv._fast_length(2 * m + 1)
+        ft = np.fft.rfft(ker.density((np.arange(2 * m + 1) - m) * dx), nfft)
+        assert plan._nfft == nfft
+        assert np.array_equal(plan._toeplitz._ft.view(np.int64), ft.view(np.int64))
+
+        def old_correlation(v):
+            spec = np.fft.rfft(v, nfft)
+            spec *= ft
+            return np.fft.irfft(spec, nfft)[m:2 * m + 1]
+
+        weights = trapezoid_weights(m, dx)
+        tail_left, tail_right = 1.0 - ker.cdf(x - x[0]), ker.cdf(x - x[-1])
+        row = old_correlation(weights) + tail_left + tail_right
+        u = np.sin(x)
+        old = old_correlation(weights * u)
+        old += -0.3 * tail_left + 0.2 * tail_right
+        old /= row
+        got = plan.apply(u, -0.3, 0.2)
+        assert np.array_equal(got.view(np.int64), old.view(np.int64))
 
     def test_far_state_cache_follows_its_key(self):
         # far pairs A, B, A on one plan give what fresh plans give, to the

@@ -81,11 +81,9 @@ def _flag_type(key: str, default):
 
 
 def _coerce(key: str, value, kind):
-    """A config-file value as its flag's type; null stays None.  A value
-    the conversion would change (256.7 for an int key) is refused, and so
-    is a JSON boolean, which no key takes (float(true) == true)."""
-    if value is None:
-        return None
+    """A config-file value as its flag's type.  A value the conversion
+    would change (256.7 for an int key) is refused, and so is a JSON
+    boolean, which no key takes (float(true) == true)."""
     try:
         coerced = kind(value)
     except (TypeError, ValueError):
@@ -96,14 +94,16 @@ def _coerce(key: str, value, kind):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; a null in the file, like
+    an unset flag, leaves the key as it was."""
     from_file = _load_config(args.config)
     unknown = set(from_file) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(defaults)
     for key, value in from_file.items():
-        merged[key] = _coerce(key, value, _flag_type(key, defaults[key]))
+        if value is not None:
+            merged[key] = _coerce(key, value, _flag_type(key, defaults[key]))
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:

@@ -296,13 +296,20 @@ TABLE_SPELLINGS = ("tabulated", "table")
 
 
 def build_kernel(family: str, **params) -> Kernel:
-    """Dispatch on the family name; see the individual builders."""
+    """Dispatch on the family name; see the individual builders.  The
+    keywords must be the family's parameter alone; a table takes y, k and,
+    optionally, renormalize."""
     if family in TABLE_SPELLINGS:
-        return tabulated_kernel(params["y"], params["k"],
-                                renormalize=params.get("renormalize", False))
+        if not {"y", "k"} <= set(params) <= {"y", "k", "renormalize"}:
+            raise KernelError(f"family {family!r} takes parameters 'y', 'k' "
+                              f"and optionally 'renormalize', got {sorted(params)}")
+        return tabulated_kernel(**params)
     if family not in SPELLINGS:
         raise KernelError(f"unknown kernel family {family!r}")
     builder, name = SPELLINGS[family]
+    if set(params) != {name}:
+        raise KernelError(
+            f"family {family!r} takes parameter {name!r}, got {sorted(params)}")
     return builder(params[name])
 
 

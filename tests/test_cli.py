@@ -249,6 +249,16 @@ class TestSolveCommand:
             assert key in json.loads(capsys.readouterr().err)["message"]
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["kernel", "u_minus", "max_iter", "length"])
+    def test_null_config_value_leaves_the_default(self, tmp_path, key):
+        # str, float, int and None-default keys: null is an unset key
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: None, "grid_n": 256,
+                                      "out_dir": str(tmp_path / "out")}))
+        assert run(["solve", "--config", str(config)]) == 0
+        meta = json.loads((tmp_path / "out" / "profile.meta.json").read_text())
+        assert meta["config"][key] == cli.SOLVE_DEFAULTS[key]
+
     @pytest.mark.parametrize("key", ["bogus", "seed"])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
         config = tmp_path / "run.json"

@@ -212,6 +212,20 @@ class TestOddConvolve:
             tracemalloc.stop()
         assert peak <= 1 << 20
 
+    def test_far_value_changes_on_one_plan(self):
+        # far values A, B, A, 0.0, -0.0 on one plan give what fresh plans
+        # give, to the bit, and the returned arrays are independent
+        grid = cv.HalfLineGrid(30.0, 512)
+        ker = kk.gaussian_kernel(1.0)
+        field = iterate_like_field(grid, 1.3)
+        plan = cv.OddConvolver(ker, grid)
+        fars = [1.3, 0.9, 1.3, 0.0, -0.0]
+        got = [plan.apply_values(field, far) for far in fars]
+        for far, out in zip(fars, got):
+            fresh = cv.OddConvolver(ker, grid).apply_values(field, far)
+            assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
+        assert not np.shares_memory(got[0], got[2])
+
     def test_triangle_table_is_the_triangular_family(self):
         # the table's exact CDF enters the far-field row, so the two plans
         # agree to rounding
@@ -264,7 +278,8 @@ class TestToeplitz:
         c = rng.uniform(-1.0, 1.0, 2 * m + 1)
         v = rng.uniform(-1.0, 1.0, m + 1)
         dense = toeplitz(c[m:], c[m::-1]) @ v   # entry (i, j) is c[m + i - j]
-        np.testing.assert_allclose(cv._Toeplitz(c, m + 1)(v), dense, rtol=0, atol=1e-12)
+        plan = cv._Toeplitz(c, m + 1, window=(m, 2 * m + 1))
+        np.testing.assert_allclose(plan(v), dense, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("g, v", [(3, 1), (4, 2), (63, 32), (64, 33),
                                       (129, 7), (200, 101)])
@@ -277,7 +292,7 @@ class TestToeplitz:
         x = rng.uniform(-1.0, 1.0, v)
         t = toeplitz(c[v - 1:], c[v - 1::-1])     # entry (i, j) is c[i + V - 1 - j]
         hk = hankel(b[:g - v + 1], b[g - v:])     # entry (i, j) is b[i + j]
-        plan = cv._Toeplitz(c, v, hankel=b)
+        plan = cv._Toeplitz(c, v, window=(v - 1, g), hankel=b)
         assert plan.nfft == next_fast_len(g, real=True)
         got = plan(x)
         assert got.shape == (g - v + 1,)

@@ -225,8 +225,25 @@ class TestBuilders:
         assert kk.build_kernel("exp", k=2.0).family == "exponential"
         assert kk.build_kernel("gauss", sigma=1.0).family == "gaussian"
         assert kk.build_kernel("tri", a=1.0).family == "triangular"
+        y = np.linspace(-1.0, 1.0, 21)
+        table = kk.build_kernel("table", y=y, k=np.maximum(1.0 - np.abs(y), 0.0),
+                                renormalize=True)
+        assert table.family == "tabulated"
         with pytest.raises(kk.KernelError):
             kk.build_kernel("cauchy", gamma=1.0)
+
+    @pytest.mark.parametrize("family, params, named", [
+        ("gaussian", {"sigma": 1.0, "k": 3.0}, "'sigma'"),
+        ("exp", {"sigma": 1.0}, "'k'"),
+        ("uniform", {}, "'a'"),
+        ("table", {"y": [-1.0, 0.0, 1.0]}, "'k'"),
+        ("table", {"y": [-1.0, 0.0, 1.0], "k": [0.0, 1.0, 0.0], "renorm": True},
+         "'renormalize'"),
+    ])
+    def test_build_kernel_keywords_must_match(self, family, params, named):
+        # unknown or missing keywords: a KernelError naming the parameters
+        with pytest.raises(kk.KernelError, match=named):
+            kk.build_kernel(family, **params)
 
 
 class TestTabulated:

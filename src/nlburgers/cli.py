@@ -146,6 +146,13 @@ def _subsolution_report(profile) -> dict:
             "g_sup": spec.g_sup, "g_limit": spec.g_limit}
 
 
+def _convolution_report(profile) -> dict:
+    """The half-line plan of the profile's grid, in diagnostics.json's keys."""
+    plan = profile.convolver
+    return {"fft_length": plan._nfft, "band_cells": plan.band,
+            "dropped_mass": plan.dropped_mass}
+
+
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
@@ -187,6 +194,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         "converged": profile.converged,
         "residuals": _residuals(profile, kernel, cfg["refine"]),
         "subsolution": _subsolution_report(profile),
+        "convolution": _convolution_report(profile),
     }
     # the JSON first: a non-finite value then leaves no file behind
     _write_json(meta, out / "profile.meta.json")
@@ -219,6 +227,7 @@ def cmd_classify(cfg: dict, out: Path) -> int:
         "threshold": record.threshold,
         "consistent": record.consistent,
         "subsolution": _subsolution_report(record.profile),
+        "convolution": _convolution_report(record.profile),
     }
     _write_json(payload, out / "classification.json")
     return EXIT_OK if record.measured != "indeterminate" else EXIT_INDETERMINATE

@@ -23,11 +23,16 @@ The window stays free of wrap-around at max(hi, G + V - 1 - lo) points,
 and the FFT length is the next fast one.  The half line takes the "valid"
 window [V - 1, G) of its full generators and folds its Hankel (mirror)
 term into the same spectrum; it drops the two end nodes, which exact end
-columns carry, so its length is at least 2N - 1.  The full line samples
-the kernel only over its numerical support, a band of B cells, so m + 1
-samples need m + 1 + B points.  Direct summation on the fine grid, kept
-in the test suite, is the reference, and the fast path must match it to
-1e-10.
+columns carry, so its length is at least 2N - 1.  Both geometries sample
+the kernel only over its numerical support |y| <= R, R the radius
+outside which the mass is below ROUNDING_TAIL, a band of B cells; every
+other sample is 0.  On the full line that shortens the FFT: m + 1
+samples need m + 1 + B points.  On the half line it only saves kernel
+evaluations and column sums: the Hankel term reaches offsets up to 2L
+and shares the Toeplitz spectrum, so a shorter FFT would alias it into
+the kept outputs, and the length stays at 2N.  Direct summation on the
+fine grid, kept in the test suite, is the reference, and the fast path
+must match it to 1e-10.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import Kernel
 
@@ -189,12 +195,20 @@ class _Toeplitz:
         return irfft(out, self.nfft)[self._lo:self._hi]
 
 
-def _columns(samples: np.ndarray, weights: np.ndarray, starts, stride: int,
-             count: int) -> np.ndarray:
-    """sum_t weights[t] samples[starts[t] + s stride] for s = 0..count-1."""
+def _band_rows(samples: np.ndarray, band: tuple, weights: np.ndarray,
+               start: int, stride: int, count: int) -> np.ndarray:
+    """samples[start + s stride:][:len(weights)] @ weights for s = 0..count-1,
+    formed only on the rows that meet the band [lo, hi) outside which every
+    sample is 0; the other rows are 0."""
+    lo, hi = band
+    width = weights.size
+    first = max(0, -((start + width - 1 - lo) // stride))
+    last = min(count, (hi - 1 - start) // stride + 1)
     out = np.zeros(count)
-    for w, start in zip(weights, starts):
-        out += w * samples[start::stride][:count]
+    if first < last:
+        begin = start + first * stride
+        rows = samples[begin:begin + (last - 1 - first) * stride + width]
+        out[first:last] = sliding_window_view(rows, width)[::stride] @ weights
     return out
 
 
@@ -234,6 +248,19 @@ class OddConvolver:
     values d_1..d_{N-1} then meet A_{1-N}..A_{N-1} and B_1..B_{2N-1}
     alone, so both sums are one spectral correlation (A minus B against
     the reversed input) at an FFT length of at least 2N - 1.
+
+    K is sampled only on the band of ``band`` = B = ceil(R / h) cells,
+    |y| <= B h, with R = kernel.radius(ROUNDING_TAIL); B is at most 2N,
+    the widest offset the Hankel term reaches.  Every other sample is 0,
+    and each column is a windowed dot product over the rows that reach
+    the band only.  ``dropped_mass``, the kernel mass beyond B h (0 when
+    the band spans 2L), is at most 2^-56, so the plan moves by rounding
+    only; kernels of exact support drop nothing.  Each Hankel sample keeps
+    its float argument -2L + (S r + k) h_f.  The Toeplitz row holds the
+    same offsets in exact arithmetic, but not in floats: where a density
+    jump lies within an ulp of a sample, the two roundings read different
+    values.  The exact row 1 - 2 Phi(x_i) rounds to exactly 1 where
+    x_i < -R, and Phi is evaluated only inside.
     """
 
     def __init__(self, kernel: Kernel, grid: HalfLineGrid,
@@ -253,40 +280,58 @@ class OddConvolver:
         n, r = grid.n, self.refine
         m = n * r
         hf = grid.h / r
-        # K(p hf) and K(-2L + (p + m) hf) for p = -(m+r-1)..m+r-1: every
-        # fine offset x_i -/+ y_q that a hat reaches
-        p = np.arange(-(m + r - 1), m + r)
-        kt = kernel.density(p * hf)
-        kh = kernel.density(-2.0 * grid.length + (p + m) * hf)
+        radius = kernel.radius(ROUNDING_TAIL)
+        # offsets reach 2L (the Hankel term's x_0 + y_0), so B <= 2N
+        b = min(2 * n, int(np.ceil(radius / grid.h)))
+        self.band = b
+        self.dropped_mass = kernel.tail_mass(b * grid.h) if b < 2 * n else 0.0
+        # K(p hf) and K(-2L + (p + m) hf) at index p + m, p = -m..m: every
+        # fine offset x_i -/+ y_q that a hat reaches.  Only the offsets
+        # |y| <= B h are sampled; the others stay 0
+        reach = b * r
+        kt, kh = np.zeros(2 * m + 1), np.zeros(2 * m + 1)
+        pt = min(reach, m)
+        kt[m - pt:m + pt + 1] = kernel.density(np.arange(-pt, pt + 1.0) * hf)
+        ph = min(reach, 2 * m)
+        kh[2 * m - ph:] = kernel.density(-2.0 * grid.length
+                                         + np.arange(2 * m - ph, 2 * m + 1.0) * hf)
+        band_t, band_h = (m - pt, m + pt + 1), (2 * m - ph, 2 * m + 1)
         hat = hf * (1.0 - np.abs(np.arange(1 - r, r)) / r)
-        # A_{1-N}..A_{N-1} and B_1..B_{2N-1}: row i = 0 of A_{i-j} and
-        # B_{i+j} starts one coarse step (r samples) in, at j = 1.  The valid
-        # window [V - 1, G) keeps the rows where every input meets c[0..G-1]
+        # A_{1-N}..A_{N-1} and B_1..B_{2N-1}: A_D reads the 2r - 1 samples
+        # from p = D r - (r - 1), so row D = 1 - N starts at index 1; B_S
+        # reads the same indices.  The valid window [V - 1, G) keeps the rows
+        # where every input meets c[0..G-1]
         self._correlation = _Toeplitz(
-            _columns(kt, hat, range(r, 3 * r - 1), r, 2 * n - 1), n - 1,
+            _band_rows(kt, band_t, hat, 1, r, 2 * n - 1), n - 1,
             window=(n - 2, 2 * n - 1),
-            hankel=_columns(kh, hat, range(r, 3 * r - 1), r, 2 * n - 1))
+            hankel=_band_rows(kh, band_h, hat, 1, r, 2 * n - 1))
         self._nfft = self._correlation.nfft   # plan size, read by benchmark tracing
 
-        # half hats at j = 0 (fine k = 0..r-1) and j = N (k = -(r-1)..0)
+        # half hats at j = 0 (fine k = 0..r-1) and j = N (k = -(r-1)..0),
+        # as weights on increasing sample index: row i reads kt at
+        # i r - k + m and kh at i r + k for node 0, and the mirror for node N
         end = hat[r - 1:].copy()
         end[0] *= 0.5
-        # row i = 0 reads kt[far], kh[near] for node 0 and kt[near], kh[far]
-        # for node N; each further row moves r samples on
-        near = r - 1 + np.arange(r)
-        far = m + r - 1 - np.arange(r)
-        self._end0 = (_columns(kt, end, far, r, n + 1)
-                      - _columns(kh, end, near, r, n + 1))
-        self._endn = (_columns(kt, end, near, r, n + 1)
-                      - _columns(kh, end, far, r, n + 1))
+        self._end0 = (_band_rows(kt, band_t, end[::-1], m - r + 1, r, n + 1)
+                      - _band_rows(kh, band_h, end, 0, r, n + 1))
+        self._endn = (_band_rows(kt, band_t, end, 0, r, n + 1)
+                      - _band_rows(kh, band_h, end[::-1], m - r + 1, r, n + 1))
 
-        # exact row integral: int_{-inf}^{inf} [K(x-y) - K(x+y)] 1_{y<0} dy
-        self._exact_row = 1.0 - 2.0 * kernel.cdf(grid.nodes())
+        # exact row integral: int_{-inf}^{inf} [K(x-y) - K(x+y)] 1_{y<0} dy,
+        # which rounds to 1 where x < -R (there 2 Phi(x) <= 2^-56)
+        x = grid.nodes()
+        self._exact_row = np.ones(n + 1)
+        inside = int(np.searchsorted(x, -radius))
+        self._exact_row[inside:] = 1.0 - 2.0 * kernel.cdf(x[inside:])
 
     # -- fast path ------------------------------------------------------
 
     def apply_values(self, values: np.ndarray, far_value: float) -> np.ndarray:
-        """K*u at the nodes for samples u_i = u(x_i), u = far_value on x <= -L."""
+        """K*u at the nodes for samples u_i = u(x_i), u = far_value on x <= -L.
+
+        FieldError unless there is one sample per node."""
+        if np.shape(values) != (self.grid.n + 1,):
+            raise FieldError("need one sample per grid node")
         d = values - far_value
         out = self._correlation(d[1:-1])
         out += d[0] * self._end0 + d[-1] * self._endn + far_value * self._exact_row

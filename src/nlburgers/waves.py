@@ -20,7 +20,8 @@ profiles without a sub-shock.
 
 The iterates decrease pointwise, stay nonincreasing in x, and remain
 pinched between the arctan subsolution and u_c; the solver checks each
-iterate once, right after the sweep that made it, at 1e-10 (_defects),
+iterate once, right after the sweep that made it, at 1e-10 (_check,
+which counts the violations with _defects only when there are some),
 and treats a violation as a discretization bug, not a data point.
 
 The plain iteration converges linearly, at a rate that nears 1 for small
@@ -49,6 +50,7 @@ bracket at 1e-10, and every swept candidate counts as a sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -423,7 +425,7 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
         theta = h * q / du
         flat = np.flatnonzero(du == 0.0)
         theta[flat] = h / u1[flat]
-        # only the last cell's u1 can underflow: _defects keeps interior
+        # only the last cell's u1 can underflow: _check keeps interior
         # samples >= FLOOR_DELTA
         origin = not np.isfinite(theta[-1])
         if origin:
@@ -503,16 +505,17 @@ def iterate_once(values: np.ndarray, params: WaveParams,
         raise FieldError("admissible fields are nonincreasing")
     if interior_min < FLOOR_DELTA:
         raise _collapse(values, grid)
-    return _sweep(values, params.u_c, convolver)
-
-
-def _sweep(values: np.ndarray, u_c: float, convolver: OddConvolver) -> np.ndarray:
-    """iterate_once without its input checks, for checked samples."""
-    g = convolver.apply_values(values, u_c)
-    out = _advance(values, g, convolver.grid.h, u_c)
+    out = _sweep(values, params.u_c, convolver)
     if not np.all(np.isfinite(out)):
         raise SchemeInvariantError("non-finite intermediate in the sweep")
     return out
+
+
+def _sweep(values: np.ndarray, u_c: float, convolver: OddConvolver) -> np.ndarray:
+    """iterate_once without its input checks or its finiteness check on
+    the output, for checked samples."""
+    g = convolver.apply_values(values, u_c)
+    return _advance(values, g, convolver.grid.h, u_c)
 
 
 def _collapse(values: np.ndarray, grid: HalfLineGrid) -> IterateCollapseError:
@@ -537,6 +540,31 @@ def _defects(w: np.ndarray, above: np.ndarray, floor: np.ndarray, ceiling: float
     ordering = int(np.count_nonzero(w < floor) + np.count_nonzero(w > ceiling))
     collapsed = not (np.min(w[:-1]) >= FLOOR_DELTA and w[-1] >= 0.0)
     return mono, ordering, collapsed
+
+
+def _check(w: np.ndarray, above: np.ndarray, floor: np.ndarray, ceiling: float):
+    """(clean, sup_diff): whether _defects(w, above, floor, ceiling) finds
+    nothing, decided by its own comparisons and stopping at the first that
+    fails, and max |w - above|, for finite above, floor and ceiling.  Then
+    a non-finite sample makes sup_diff non-finite and fails the check, as
+    _defects counts NaN collapsed and +-inf outside the bracket."""
+    d = w - above
+    rise = d.max()
+    sup_diff = abs(float(max(rise, -d.min())))
+    if not math.isfinite(sup_diff):
+        return False, sup_diff
+    steps = w[1:] - w[:-1]
+    top = steps.max()
+    if not top <= INVARIANT_TOL:
+        return False, sup_diff
+    # a nonincreasing w has its max at the first sample and the min of its
+    # interior at the last interior one
+    high, low = (w[0], w[-2]) if top <= 0.0 else (w.max(), w[:-1].min())
+    clean = bool(high <= ceiling and low >= FLOOR_DELTA and w[-1] >= 0.0
+                 and not np.count_nonzero(w < floor)
+                 # w_i - a_i <= 0 means w_i <= a_i <= a_i + INVARIANT_TOL
+                 and (rise <= 0.0 or not np.count_nonzero(w > above + INVARIANT_TOL)))
+    return clean, sup_diff
 
 
 def default_length(kernel: Kernel, params: WaveParams, n: int = 4096,
@@ -570,8 +598,9 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     becomes an iterate.  A candidate refused before its sweep is retried
     at theta/2 and theta/4 and costs no sweep; after a discard the next
     candidate starts one halving lower, and after an accepted one at
-    theta again.  _defects checks each iterate once, after its sweep;
-    sweeps run unchecked (_sweep) on the supersolution or checked arrays.
+    theta again.  _check checks each iterate once, after its sweep, and
+    its sup-diff refuses a non-finite output; sweeps run unchecked
+    (_sweep) on the supersolution or checked arrays.
 
     Raises KernelError if the kernel fails its hypothesis checks, and
     SchemeInvariantError or IterateCollapseError if a sweep's output breaks
@@ -633,13 +662,14 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
                 theta = EXTRAPOLATION_THETA * 0.5**halvings
                 candidate = v - (theta * rho / (1.0 - rho)) * descent
                 candidate[-1] = max(candidate[-1], 0.0)
-                if not any(_defects(candidate, v, floor, ceiling)):
+                if _check(candidate, v, floor, ceiling)[0]:
                     start, kind = candidate, CANDIDATE_SWEEP
                     break
         w = _sweep(start, params.u_c, convolver)
-        mono, ordering, collapsed = _defects(w, start, floor, ceiling)
-        diff = float(np.max(np.abs(w - start)))
-        if kind == CANDIDATE_SWEEP and (mono or ordering or collapsed):
+        clean, diff = _check(w, start, floor, ceiling)
+        if not math.isfinite(diff):
+            raise SchemeInvariantError("non-finite intermediate in the sweep")
+        if kind == CANDIDATE_SWEEP and not clean:
             # not an iterate: v stays, the next sweep is plain from it, and
             # the next candidate starts one halving lower
             trace.record(diff, w[-1], 0, 0, DISCARDED_CANDIDATE)
@@ -648,14 +678,17 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
             continue
         if kind == CANDIDATE_SWEEP:
             lowered = 0
-        if collapsed:
-            raise _collapse(w, grid)
-        trace.record(diff, w[-1], mono, ordering, kind)
-        if mono or ordering:
+        if not clean:
+            # the counts only for a failed check: the trace row and the text
+            mono, ordering, collapsed = _defects(w, start, floor, ceiling)
+            if collapsed:
+                raise _collapse(w, grid)
+            trace.record(diff, w[-1], mono, ordering, kind)
             raise SchemeInvariantError(
                 f"sweep {trace.iterations}: {mono} monotonicity and "
                 f"{ordering} ordering violations above {INVARIANT_TOL:.0e}"
             )
+        trace.record(diff, w[-1], 0, 0, kind)
         back, back_diff = start, (sup_diff if kind == PLAIN_SWEEP else None)
         v, sup_diff = w, diff
         if sup_diff <= tol_iter:

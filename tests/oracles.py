@@ -114,6 +114,46 @@ def cdf_quadrature(kernel, x):
 
 
 # ----------------------------------------------------------------------
+# the half-line plan, built over every fine offset
+# ----------------------------------------------------------------------
+
+
+def strided_columns(samples, weights, starts, stride, count):
+    """sum_t weights[t] samples[starts[t] + s stride] for s = 0..count-1,
+    one strided pass per weight."""
+    out = np.zeros(count)
+    for w, start in zip(weights, starts):
+        out += w * samples[start::stride][:count]
+    return out
+
+
+def odd_plan_parts(kernel, grid, refine, mirror=False):
+    """(Toeplitz generator, Hankel generator, node-0 column, node-N column,
+    exact row) of OddConvolver, sampling K at every fine offset a hat
+    reaches, p = -(m+r-1)..m+r-1, with no band.  The Hankel samples sit at
+    -2L + (p + m) h_f; ``mirror`` takes them at (p - m) h_f instead, the
+    same offsets in exact arithmetic but not in floats."""
+    n, r = grid.n, refine
+    m = n * r
+    hf = grid.h / r
+    p = np.arange(-(m + r - 1), m + r)
+    kt = kernel.density(p * hf)
+    kh = kernel.density((p - m) * hf if mirror else -2.0 * grid.length + (p + m) * hf)
+    hat = hf * (1.0 - np.abs(np.arange(1 - r, r)) / r)
+    toeplitz = strided_columns(kt, hat, range(r, 3 * r - 1), r, 2 * n - 1)
+    hankel = strided_columns(kh, hat, range(r, 3 * r - 1), r, 2 * n - 1)
+    end = hat[r - 1:].copy()
+    end[0] *= 0.5
+    near = r - 1 + np.arange(r)
+    far = m + r - 1 - np.arange(r)
+    end0 = (strided_columns(kt, end, far, r, n + 1)
+            - strided_columns(kh, end, near, r, n + 1))
+    endn = (strided_columns(kt, end, near, r, n + 1)
+            - strided_columns(kh, end, far, r, n + 1))
+    return toeplitz, hankel, end0, endn, 1.0 - 2.0 * kernel.cdf(grid.nodes())
+
+
+# ----------------------------------------------------------------------
 # the finite-volume step, as plain array expressions
 # ----------------------------------------------------------------------
 

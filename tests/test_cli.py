@@ -153,6 +153,24 @@ class TestSolveCommand:
         assert (out / "profile.csv").exists()
         assert (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("spec, dropped", [("exp:k=1", True), ("uniform:a=1", False)])
+    def test_convolution_plan_reported(self, tmp_path, spec, dropped):
+        # the half-line FFT spans 2N points; the band is ceil(R / h) cells,
+        # beyond which exp drops under 2^-56 of the kernel mass and uniform
+        # drops none
+        code = run(["solve", "--kernel", spec, "--grid-n", "256",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "profile.meta.json").read_text())
+        conv = meta["convolution"]
+        assert sorted(conv) == ["band_cells", "dropped_mass", "fft_length"]
+        assert conv["fft_length"] == 512
+        kernel = cli.parse_kernel_spec(spec)
+        h = meta["length"] / 256
+        assert conv["band_cells"] == int(np.ceil(kernel.radius(2.0 ** -56) / h))
+        assert (0.0 < conv["dropped_mass"] <= 2.0 ** -56) if dropped else (
+            conv["dropped_mass"] == 0.0)
+
     def test_sweep_counts_add_up(self, tmp_path):
         # u_c = 0.25 has plain, accepted and discarded candidate sweeps
         code = run(["solve", "--kernel", "exp:k=1", "--u-minus", "0.25",
@@ -281,6 +299,13 @@ class TestClassifyCommand:
         sub = payload["subsolution"]
         assert set(sub) == {"epsilon", "halvings", "g_sup", "g_limit"}
         assert max(sub["g_sup"], sub["g_limit"]) <= 1.0
+        # the finest grid's plan: 4 x 256 cells
+        conv = payload["convolution"]
+        assert conv["fft_length"] == 2048
+        h = payload["length"] / 1024
+        radius = cli.parse_kernel_spec(spec).radius(2.0 ** -56)
+        assert conv["band_cells"] == int(np.ceil(radius / h))
+        assert 0.0 < conv["dropped_mass"] <= 2.0 ** -56
 
     def test_indeterminate_exit_two(self, tmp_path):
         code = run(["classify", "--kernel", "exp:k=1", "--u-minus", "1",

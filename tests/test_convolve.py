@@ -11,8 +11,9 @@ from scipy.linalg import hankel, toeplitz
 
 from nlburgers import convolve as cv
 from nlburgers import kernels as kk
+from nlburgers import waves as wv
 from nlburgers.convolve import trapezoid_weights
-from oracles import refine_segments
+from oracles import odd_plan_parts, refine_segments
 
 
 def triangle_table_kernel():
@@ -239,6 +240,17 @@ class TestOddConvolve:
         with pytest.raises(cv.GridKernelError):
             cv.OddConvolver(kk.exponential_kernel(1.0), cv.HalfLineGrid(20.0, 256))
 
+    @pytest.mark.parametrize("size", [553, 510, 512, 514])
+    def test_sample_count_must_match_the_grid(self, size):
+        # the FFT would pad or truncate other lengths without a word
+        grid = cv.HalfLineGrid(30.0, 512)
+        plan = cv.OddConvolver(kk.exponential_kernel(1.0), grid)
+        field = 1.0 - 0.5 * np.exp(np.linspace(-30.0, 0.0, size))
+        with pytest.raises(cv.FieldError, match="one sample per grid node"):
+            plan.apply_values(field, 1.0)
+        with pytest.raises(cv.FieldError, match="one sample per grid node"):
+            plan.apply_values(iterate_like_field(grid)[:, None], 1.0)
+
 
 class TestFastVsDirect:
     @pytest.mark.parametrize("ker", [
@@ -268,6 +280,105 @@ class TestFastVsDirect:
             fast = plan.apply_values(vals, vals[0] + 0.75)
             direct = apply_direct(plan, vals, vals[0] + 0.75)
             assert np.max(np.abs(fast - direct)) <= 1e-10
+
+
+def generators(plan):
+    """The plan's Toeplitz and Hankel generators, back from their spectra."""
+    n, nfft, corr = plan.grid.n, plan._nfft, plan._correlation
+    toeplitz = np.fft.irfft(corr._ft, nfft)[:2 * n - 1]
+    hankel = np.roll(np.fft.irfft(corr._fh, nfft), 2 - n)[:2 * n - 1]
+    return toeplitz, hankel
+
+
+def apply_parts(parts, values, far_value):
+    """apply_values on generators, end columns and exact row given as
+    arrays, through the same spectral product."""
+    toeplitz, hankel, end0, endn, exact_row = parts
+    n = values.size - 1
+    corr = cv._Toeplitz(toeplitz, n - 1, window=(n - 2, 2 * n - 1), hankel=hankel)
+    d = values - far_value
+    out = corr(d[1:-1]) + d[0] * end0 + d[-1] * endn + far_value * exact_row
+    out[-1] = 0.0
+    return np.maximum(out, 0.0)
+
+
+BANDED_KERNELS = [
+    kk.exponential_kernel(1.0),
+    kk.gaussian_kernel(1.0),
+    kk.uniform_kernel(1.0),
+    kk.triangular_kernel(1.0),
+    triangle_table_kernel(),
+    exponential_table_kernel(),
+]
+BANDED_IDS = ["exponential", "gaussian", "uniform", "triangular", "table-tri", "table-exp"]
+
+
+class TestBandedPlan:
+    """The plan samples K on |y| <= B h only, B = ceil(R / h) with R the
+    ROUNDING_TAIL radius; the unbanded build in the oracles samples every
+    fine offset."""
+
+    @pytest.mark.parametrize("ker", BANDED_KERNELS, ids=BANDED_IDS)
+    @pytest.mark.parametrize("span", ["short", "long"])
+    def test_matches_the_unbanded_build(self, ker, span):
+        # short: the shortest L the tail check allows, where the band
+        # covers most of the domain; long: L = 200, where it covers little
+        n, refine = 256, 4
+        length = 2.01 * ker.radius(cv.TAIL_TOL) if span == "short" else 200.0
+        grid = cv.HalfLineGrid(cv.snap_length(ker, length, n, refine), n)
+        plan = cv.OddConvolver(ker, grid, refine)
+        parts = odd_plan_parts(ker, grid, refine)
+        eps = np.finfo(float).eps
+        # each sample feeds at most two windows, so a column moves by at
+        # most twice the mass the band drops, plus the rounding of its sums
+        # and of the FFT round trip that recovers the generators
+        for got, want in zip((*generators(plan), plan._end0, plan._endn), parts):
+            tol = 2.0 * cv.ROUNDING_TAIL + 8.0 * eps * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= tol
+        assert np.array_equal(plan._exact_row.view(np.int64), parts[4].view(np.int64))
+        x = grid.nodes()
+        for far, field in ((1.0, iterate_like_field(grid)),
+                           (2.5, 2.5 * np.exp(-((x + 0.3 * grid.length) / 4.0) ** 2)),
+                           (0.75, 0.75 * (1.0 - np.exp(x / 3.0)))):
+            got = plan.apply_values(field, far)
+            want = apply_parts(parts, field, far)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(field))
+
+    @pytest.mark.parametrize("ker", BANDED_KERNELS, ids=BANDED_IDS)
+    def test_band_and_dropped_mass(self, ker):
+        grid = cv.HalfLineGrid(cv.snap_length(ker, 200.0, 256, 8), 256)
+        plan = cv.OddConvolver(ker, grid)
+        band = int(np.ceil(ker.radius(cv.ROUNDING_TAIL) / grid.h))
+        assert plan.band == band < 2 * grid.n
+        assert plan.dropped_mass == ker.tail_mass(band * grid.h)
+        assert 0.0 <= plan.dropped_mass <= cv.ROUNDING_TAIL
+        if ker.family in ("uniform", "triangular", "tabulated"):
+            assert plan.dropped_mass == 0.0
+
+    @pytest.mark.parametrize("u_c", [1.5815, 3.2693])
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_uniform_jump_samples_keep_their_bits(self, u_c, n):
+        # on these grids (default L at n = 512) the Toeplitz sample at the
+        # jump lands on (+/-)0.9999999999999999 and reads 0.5, and the
+        # Hankel one on -1.0 and reads 0.25, the mean of the one-sided
+        # limits.  Taking the Hankel samples from the Toeplitz row (the
+        # same offsets in exact arithmetic) reads 0.5 there, and moves the
+        # plan far beyond rounding
+        ker = kk.uniform_kernel(1.0)
+        length = wv.default_length(ker, wv.WaveParams(u_c, -u_c), 512)
+        grid = cv.HalfLineGrid(length, n)
+        m, hf = 8 * n, grid.h / 8
+        jump = round(1.0 / hf)
+        assert ker.density(jump * hf) == 0.5
+        assert ker.density(-2.0 * grid.length + (2 * m - jump) * hf) == 0.25
+        plan = cv.OddConvolver(ker, grid)
+        field = iterate_like_field(grid, u_c)
+        got = plan.apply_values(field, u_c)
+        parent = apply_parts(odd_plan_parts(ker, grid, 8), field, u_c)
+        mirror = apply_parts(odd_plan_parts(ker, grid, 8, mirror=True), field, u_c)
+        tol = 1e-15 * u_c
+        assert np.max(np.abs(got - parent)) <= tol
+        assert np.max(np.abs(mirror - parent)) > 1e6 * tol
 
 
 class TestToeplitz:

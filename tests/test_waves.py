@@ -434,6 +434,98 @@ class TestIterateOnce:
                 wv.iterate_once(vals, params, plan)
 
 
+@st.composite
+def check_inputs(draw):
+    """(w, above, floor, ceiling): a clean iterate w with up to three
+    samples moved to, or one ulp either side of, a threshold of the
+    iterate check, or to NaN or +-inf."""
+    size = draw(st.integers(2, 9))
+    unit = st.floats(0.0, 1.0)
+    above = np.sort(draw(st.lists(st.floats(0.5, 1.0), min_size=size,
+                                  max_size=size)))[::-1]
+    w = above * (1.0 - 1e-3 * draw(unit))
+    slack = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+    floor = w * (1.0 - np.array(draw(st.lists(slack, min_size=size, max_size=size))))
+    ceiling = float(w[0]) + draw(st.sampled_from([0.0, 0.25, 1.0, 5e9])) * wv.INVARIANT_TOL
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, size - 1))
+        prev = w[i - 1] if i else w[0]
+        # a rise under the tolerance moves the max off the first sample
+        level = draw(st.sampled_from([
+            above[i] + wv.INVARIANT_TOL, prev + wv.INVARIANT_TOL,
+            prev + 0.5 * wv.INVARIANT_TOL, wv.INVARIANT_TOL, wv.FLOOR_DELTA,
+            floor[i], ceiling, 0.0, -0.0, np.nan, np.inf, -np.inf]))
+        if np.isfinite(level):
+            level = np.nextafter(level, draw(st.sampled_from([-np.inf, level, np.inf])))
+        w[i] = level
+    return w, above, floor, ceiling
+
+
+def counted_defects(w, above, floor, ceiling):
+    """_defects by scalar loops: (monotonicity, ordering, collapsed)."""
+    tol = wv.INVARIANT_TOL
+    mono = sum(float(x) > float(a) + tol for x, a in zip(w, above))
+    mono += sum(float(b) - float(a) > tol for a, b in zip(w[:-1], w[1:]))
+    ordering = sum(float(x) < float(f) for x, f in zip(w, floor))
+    ordering += sum(float(x) > ceiling for x in w)
+    collapsed = not (all(x >= wv.FLOOR_DELTA for x in w[:-1]) and w[-1] >= 0.0)
+    return mono, ordering, collapsed
+
+
+def assert_check_agrees(w, above, floor, ceiling):
+    """_check accepts exactly when _defects finds nothing, _defects' counts
+    are the scalar ones, and the sup-diff is max |w - above|; returns
+    whether _check accepted."""
+    clean, sup_diff = wv._check(w, above, floor, ceiling)
+    with np.errstate(invalid="ignore"):   # np.diff of adjacent infinities
+        defects = wv._defects(w, above, floor, ceiling)
+    assert clean is (not any(defects))
+    assert defects == counted_defects(w, above, floor, ceiling)
+    want = float(np.max(np.abs(w - above)))
+    assert sup_diff == want or (np.isnan(sup_diff) and np.isnan(want))
+    return clean
+
+
+TOL = wv.INVARIANT_TOL
+
+
+class TestIterateCheck:
+    @given(check_inputs())
+    @settings(max_examples=1000, deadline=None)
+    def test_short_circuit_pass_agrees_with_the_counts(self, inputs):
+        assert_check_agrees(*inputs)
+
+    @pytest.mark.parametrize("w, floor, ceiling, clean", [
+        ([0.5, TOL, 2.0 * TOL], 0.0, 1.0, True),              # a step of exactly TOL
+        ([0.5, wv.FLOOR_DELTA, 0.0], 0.0, 1.0, True),
+        ([0.5, 0.25, 0.0], [0.5, 0.25, 0.0], 0.5, True),     # on the floor and the ceiling
+        ([1.0 + TOL] * 3, 0.0, 2.0, True),                   # a rise of TOL over above
+        # a rise under TOL moves the max off the first sample, and the
+        # interior min off the last interior one
+        ([0.5, 0.5 + 0.5 * TOL, 0.1], 0.0, 0.5, False),
+        ([0.5, 0.5 * wv.FLOOR_DELTA, 0.5 * wv.FLOOR_DELTA + 0.5 * TOL, 0.0], 0.0, 1.0,
+         False),
+    ])
+    def test_exact_thresholds(self, w, floor, ceiling, clean):
+        w = np.array(w)
+        floor = np.broadcast_to(np.asarray(floor, dtype=float), w.shape)
+        assert assert_check_agrees(w, np.ones_like(w), floor, ceiling) is clean
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sweep_output_is_refused(self, monkeypatch, bad):
+        # the sup-diff carries the finiteness check the sweep no longer makes
+        plain = wv._sweep
+
+        def tampered(values, u_c, convolver):
+            out = plain(values, u_c, convolver)
+            out[7:9] = bad
+            return out
+
+        monkeypatch.setattr(wv, "_sweep", tampered)
+        with pytest.raises(wv.SchemeInvariantError, match="non-finite intermediate"):
+            wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
+
+
 class TestSolve:
     def test_small_discontinuous_wave(self):
         params = wv.WaveParams(1.0, -1.0)
@@ -681,13 +773,13 @@ class TestExtrapolation:
         # takes the plain sweeps
         kernel, u_c, plain, _ = self.PINNED[0]
         monkeypatch.setattr(wv, "EXTRAPOLATION_THETA", 1e9)
-        checked, defects = [], wv._defects
+        checked, check = [], wv._check
 
         def record(*args):
-            checked.append(defects(*args))
+            checked.append(check(*args))
             return checked[-1]
 
-        monkeypatch.setattr(wv, "_defects", record)
+        monkeypatch.setattr(wv, "_check", record)
         calls = captured_sweeps(monkeypatch)
         profile, trace = wv.solve_wave(kernel, wv.WaveParams(u_c, -u_c))
         assert profile.converged
@@ -697,7 +789,7 @@ class TestExtrapolation:
         # a candidate
         candidates = len(checked) - plain
         assert candidates > 0
-        assert sum(any(d) for d in checked) == candidates
+        assert sum(not clean for clean, _ in checked) == candidates
 
     def test_solver_never_enters_the_checked_sweep(self, monkeypatch):
         # every array the solver sweeps is already checked, so it never

@@ -19,10 +19,10 @@ keeps the recurrence well behaved when u_n(0) decays toward zero on
 profiles without a sub-shock.
 
 The iterates decrease pointwise, stay nonincreasing in x, and remain
-pinched between the arctan subsolution and u_c; the solver checks each
-iterate once, right after the sweep that made it, at 1e-10 (_check,
-which counts the violations with _defects only when there are some),
-and treats a violation as a discretization bug, not a data point.
+pinched between the arctan subsolution and u_c.  These rules are stated
+once, in _check, which names the first one an array breaks; the solver
+checks each iterate once, right after the sweep that made it, at 1e-10,
+and treats a broken rule as a discretization bug, not a data point.
 
 The plain iteration converges linearly, at a rate that nears 1 for small
 amplitudes.  After two consecutive sweeps v_{k-1} -> v_k -> v_{k+1} whose
@@ -74,6 +74,14 @@ FLOOR_DELTA = 1e-12
 
 #: tolerance for the per-sweep ordering checks
 INVARIANT_TOL = 1e-10
+
+#: the iterate rules in the order _check tests them; each reads after "samples"
+RULE_FINITE = "are finite"
+RULE_NONINCREASING = "are nonincreasing"
+RULE_CEILING = "do not exceed u_c"
+RULE_POSITIVE = "are positive"
+RULE_FLOOR = "stay above the subsolution"
+RULE_DESCENT = "do not rise above the previous array"
 
 #: share of the geometric tail an extrapolated candidate takes; see the
 #: module docstring
@@ -185,8 +193,8 @@ class SubsolutionSpec:
 class IterationTrace:
     """Per-sweep diagnostics of the descending iteration: one row per
     computed sweep, its kind PLAIN_SWEEP, CANDIDATE_SWEEP or
-    DISCARDED_CANDIDATE.  The violation counts describe accepted iterates
-    only, so a discarded candidate's row holds 0 in both."""
+    DISCARDED_CANDIDATE.  Both violation counts are always 0 (a broken rule
+    raises, or discards a candidate); they keep the CSV layout."""
 
     sup_diffs: list = field(default_factory=list)
     u_at_zero: list = field(default_factory=list)
@@ -194,11 +202,11 @@ class IterationTrace:
     ordering_violations: list = field(default_factory=list)
     kinds: list = field(default_factory=list)
 
-    def record(self, sup_diff, u0, mono, ordering, kind):
+    def record(self, sup_diff, u0, kind):
         self.sup_diffs.append(float(sup_diff))
         self.u_at_zero.append(float(u0))
-        self.monotone_violations.append(int(mono))
-        self.ordering_violations.append(int(ordering))
+        self.monotone_violations.append(0)
+        self.ordering_violations.append(0)
         self.kinds.append(int(kind))
 
     @property
@@ -482,29 +490,23 @@ def iterate_once(values: np.ndarray, params: WaveParams,
     those of u_n, solving w + u_n w' = K*u_n with w(-L) = u_c and u_n = u_c
     on x <= -L.
 
-    FieldError unless the samples are one per node, finite, positive, at
-    most u_c and nonincreasing.  The origin sample alone may be zero: on
-    profiles without a sub-shock it decays below the smallest positive
-    float, and the marching rule never divides by it.  The positivity
-    floor guards the interior nodes only: there the iterate is pinned
-    above the subsolution, so dropping below 1e-12 means the scheme
-    collapsed.  solve_wave checks its own iterates and calls _sweep.
+    FieldError unless the samples are one per node, finite, nonincreasing,
+    at most u_c and positive, tested in _check's order and named in the
+    message.  The origin sample alone may be zero: on profiles without a
+    sub-shock it decays below the smallest positive float, and the marching
+    rule never divides by it.  IterateCollapseError for an interior sample
+    in (0, 1e-12): pinned above the subsolution, such an iterate means the
+    scheme collapsed.  solve_wave checks its own iterates and calls _sweep.
     """
     grid = convolver.grid
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n + 1,):
         raise FieldError("need one sample per grid node")
-    if not np.all(np.isfinite(values)):
-        raise FieldError("field samples must be finite")
-    interior_min = float(np.min(values[:-1]))
-    if interior_min <= 0.0 or values[-1] < 0.0:
-        raise FieldError("admissible fields are positive")
-    if np.max(values) > params.u_c + INVARIANT_TOL:
-        raise FieldError("admissible fields do not exceed u_c")
-    if np.max(np.diff(values)) > INVARIANT_TOL:
-        raise FieldError("admissible fields are nonincreasing")
-    if interior_min < FLOOR_DELTA:
+    rule, _ = _check(values, values, -np.inf, params.u_c + INVARIANT_TOL)
+    if rule == RULE_POSITIVE and np.min(values[:-1]) > 0.0 and values[-1] >= 0.0:
         raise _collapse(values, grid)
+    if rule is not None:
+        raise FieldError(f"admissible fields {rule}")
     out = _sweep(values, params.u_c, convolver)
     if not np.all(np.isfinite(out)):
         raise SchemeInvariantError("non-finite intermediate in the sweep")
@@ -530,41 +532,36 @@ def _collapse(values: np.ndarray, grid: HalfLineGrid) -> IterateCollapseError:
 # ----------------------------------------------------------------------
 
 
-def _defects(w: np.ndarray, above: np.ndarray, floor: np.ndarray, ceiling: float):
-    """(monotonicity, ordering, collapsed) of w as the iterate after
-    ``above``: counts past INVARIANT_TOL of rises over ``above`` or between
-    neighbours and of samples outside [floor, ceiling], and whether an
-    interior sample is below FLOOR_DELTA or the origin below 0 (or NaN)."""
-    rises = np.count_nonzero(w > above + INVARIANT_TOL)
-    mono = int(rises + np.count_nonzero(np.diff(w) > INVARIANT_TOL))
-    ordering = int(np.count_nonzero(w < floor) + np.count_nonzero(w > ceiling))
-    collapsed = not (np.min(w[:-1]) >= FLOOR_DELTA and w[-1] >= 0.0)
-    return mono, ordering, collapsed
-
-
-def _check(w: np.ndarray, above: np.ndarray, floor: np.ndarray, ceiling: float):
-    """(clean, sup_diff): whether _defects(w, above, floor, ceiling) finds
-    nothing, decided by its own comparisons and stopping at the first that
-    fails, and max |w - above|, for finite above, floor and ceiling.  Then
-    a non-finite sample makes sup_diff non-finite and fails the check, as
-    _defects counts NaN collapsed and +-inf outside the bracket."""
+def _check(w: np.ndarray, above: np.ndarray, floor, ceiling: float):
+    """(rule, sup_diff): the first RULE_* that w breaks as the array after
+    ``above``, or None, and max |w - above|.  In that order, samples must
+    be finite; nonincreasing, none more than INVARIANT_TOL above its left
+    neighbour; at most ``ceiling``; at least FLOOR_DELTA inside and 0 at
+    the origin; at least ``floor``; at most ``above`` + INVARIANT_TOL.
+    A non-finite sample makes sup_diff non-finite when ``above`` is finite
+    or is w itself."""
     d = w - above
     rise = d.max()
     sup_diff = abs(float(max(rise, -d.min())))
     if not math.isfinite(sup_diff):
-        return False, sup_diff
+        return RULE_FINITE, sup_diff
     steps = w[1:] - w[:-1]
     top = steps.max()
     if not top <= INVARIANT_TOL:
-        return False, sup_diff
+        return RULE_NONINCREASING, sup_diff
     # a nonincreasing w has its max at the first sample and the min of its
     # interior at the last interior one
     high, low = (w[0], w[-2]) if top <= 0.0 else (w.max(), w[:-1].min())
-    clean = bool(high <= ceiling and low >= FLOOR_DELTA and w[-1] >= 0.0
-                 and not np.count_nonzero(w < floor)
-                 # w_i - a_i <= 0 means w_i <= a_i <= a_i + INVARIANT_TOL
-                 and (rise <= 0.0 or not np.count_nonzero(w > above + INVARIANT_TOL)))
-    return clean, sup_diff
+    if not high <= ceiling:
+        return RULE_CEILING, sup_diff
+    if not (low >= FLOOR_DELTA and w[-1] >= 0.0):
+        return RULE_POSITIVE, sup_diff
+    if np.count_nonzero(w < floor):
+        return RULE_FLOOR, sup_diff
+    # w_i - a_i <= 0 means w_i <= a_i <= a_i + INVARIANT_TOL
+    if rise > 0.0 and np.count_nonzero(w > above + INVARIANT_TOL):
+        return RULE_DESCENT, sup_diff
+    return None, sup_diff
 
 
 def default_length(kernel: Kernel, params: WaveParams, n: int = 4096,
@@ -598,13 +595,13 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     becomes an iterate.  A candidate refused before its sweep is retried
     at theta/2 and theta/4 and costs no sweep; after a discard the next
     candidate starts one halving lower, and after an accepted one at
-    theta again.  _check checks each iterate once, after its sweep, and
-    its sup-diff refuses a non-finite output; sweeps run unchecked
-    (_sweep) on the supersolution or checked arrays.
+    theta again.  _check checks each candidate before its sweep and each
+    sweep's output after it; sweeps run unchecked (_sweep) on the
+    supersolution or checked arrays.
 
-    Raises KernelError if the kernel fails its hypothesis checks, and
-    SchemeInvariantError or IterateCollapseError if a sweep's output breaks
-    an invariant beyond 1e-10 or falls below the positivity floor: that is
+    Raises KernelError if the kernel fails its hypothesis checks, and for a
+    sweep output that breaks a rule of _check IterateCollapseError (the
+    positivity rule) or SchemeInvariantError naming the sweep and the rule:
     a discretization bug, not a property of the problem.  Hitting max_iter
     is not an error; the best iterate comes back with converged=False and
     classification 'indeterminate'.  ValueError if max_iter < 1 (no sweep
@@ -662,33 +659,28 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
                 theta = EXTRAPOLATION_THETA * 0.5**halvings
                 candidate = v - (theta * rho / (1.0 - rho)) * descent
                 candidate[-1] = max(candidate[-1], 0.0)
-                if _check(candidate, v, floor, ceiling)[0]:
+                if _check(candidate, v, floor, ceiling)[0] is None:
                     start, kind = candidate, CANDIDATE_SWEEP
                     break
         w = _sweep(start, params.u_c, convolver)
-        clean, diff = _check(w, start, floor, ceiling)
-        if not math.isfinite(diff):
+        rule, diff = _check(w, start, floor, ceiling)
+        if rule == RULE_FINITE:
             raise SchemeInvariantError("non-finite intermediate in the sweep")
-        if kind == CANDIDATE_SWEEP and not clean:
+        if kind == CANDIDATE_SWEEP and rule is not None:
             # not an iterate: v stays, the next sweep is plain from it, and
             # the next candidate starts one halving lower
-            trace.record(diff, w[-1], 0, 0, DISCARDED_CANDIDATE)
+            trace.record(diff, w[-1], DISCARDED_CANDIDATE)
             back_diff = None
             lowered = min(halvings + 1, EXTRAPOLATION_HALVINGS)
             continue
         if kind == CANDIDATE_SWEEP:
             lowered = 0
-        if not clean:
-            # the counts only for a failed check: the trace row and the text
-            mono, ordering, collapsed = _defects(w, start, floor, ceiling)
-            if collapsed:
-                raise _collapse(w, grid)
-            trace.record(diff, w[-1], mono, ordering, kind)
-            raise SchemeInvariantError(
-                f"sweep {trace.iterations}: {mono} monotonicity and "
-                f"{ordering} ordering violations above {INVARIANT_TOL:.0e}"
-            )
-        trace.record(diff, w[-1], 0, 0, kind)
+        if rule == RULE_POSITIVE:
+            raise _collapse(w, grid)
+        if rule is not None:
+            raise SchemeInvariantError(f"sweep {trace.iterations + 1} breaks "
+                                       f"the iterate rule: samples {rule}")
+        trace.record(diff, w[-1], kind)
         back, back_diff = start, (sup_diff if kind == PLAIN_SWEEP else None)
         v, sup_diff = w, diff
         if sup_diff <= tol_iter:
@@ -942,9 +934,9 @@ def write_profile_csv(profile: WaveProfile, path):
 def write_trace_csv(trace: IterationTrace, path):
     """Columns n (sweep number from 1), sup_diff (sup norm of the sweep's
     change), u_at_zero (origin sample of its output), monotone_violations
-    and ordering_violations (samples past the INVARIANT_TOL checks; 0 on a
-    discarded candidate's row, which is not an iterate), and kind (0 plain
-    sweep, 1 sweep from an accepted candidate, 2 discarded candidate)."""
+    and ordering_violations (always 0: an iterate that breaks a rule
+    raises; kept for the layout), and kind (0 plain sweep, 1 sweep from an
+    accepted candidate, 2 discarded candidate)."""
     write_columns(path, ["n", "sup_diff", "u_at_zero", "monotone_violations",
                          "ordering_violations", "kind"],
                   [range(1, trace.iterations + 1), trace.sup_diffs, trace.u_at_zero,

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -433,6 +434,20 @@ class TestIterateOnce:
             with pytest.raises(cv.FieldError, match=message):
                 wv.iterate_once(vals, params, plan)
 
+    def test_negative_origin_sample_is_refused(self):
+        grid = cv.HalfLineGrid(30.0, 256)
+        vals = 1.0 - 0.5 * np.exp(grid.nodes())
+        vals[-1] = -5e-324
+        with pytest.raises(cv.FieldError, match="admissible fields are positive"):
+            wv.iterate_once(vals, wv.WaveParams(1.0, -1.0), cv.OddConvolver(EXP1, grid))
+
+    def test_field_breaking_two_rules_names_the_first(self):
+        # increasing and above u_c: _check tests monotonicity first
+        grid = cv.HalfLineGrid(30.0, 256)
+        vals = np.linspace(0.5, 2.0, grid.n + 1)
+        with pytest.raises(cv.FieldError, match="admissible fields are nonincreasing"):
+            wv.iterate_once(vals, wv.WaveParams(1.0, -1.0), cv.OddConvolver(EXP1, grid))
+
 
 @st.composite
 def check_inputs(draw):
@@ -461,29 +476,30 @@ def check_inputs(draw):
     return w, above, floor, ceiling
 
 
-def counted_defects(w, above, floor, ceiling):
-    """_defects by scalar loops: (monotonicity, ordering, collapsed)."""
+def first_broken_rule(w, above, floor, ceiling):
+    """The rule _check names, by scalar loops in _check's order, or None."""
     tol = wv.INVARIANT_TOL
-    mono = sum(float(x) > float(a) + tol for x, a in zip(w, above))
-    mono += sum(float(b) - float(a) > tol for a, b in zip(w[:-1], w[1:]))
-    ordering = sum(float(x) < float(f) for x, f in zip(w, floor))
-    ordering += sum(float(x) > ceiling for x in w)
-    collapsed = not (all(x >= wv.FLOOR_DELTA for x in w[:-1]) and w[-1] >= 0.0)
-    return mono, ordering, collapsed
+    rules = [
+        (wv.RULE_FINITE, all(math.isfinite(float(x) - float(a))
+                             for x, a in zip(w, above))),
+        (wv.RULE_NONINCREASING, all(float(b) - float(a) <= tol
+                                    for a, b in zip(w[:-1], w[1:]))),
+        (wv.RULE_CEILING, all(float(x) <= ceiling for x in w)),
+        (wv.RULE_POSITIVE, all(x >= wv.FLOOR_DELTA for x in w[:-1]) and w[-1] >= 0.0),
+        (wv.RULE_FLOOR, all(float(x) >= float(f) for x, f in zip(w, floor))),
+        (wv.RULE_DESCENT, all(float(x) <= float(a) + tol for x, a in zip(w, above))),
+    ]
+    return next((rule for rule, kept in rules if not kept), None)
 
 
 def assert_check_agrees(w, above, floor, ceiling):
-    """_check accepts exactly when _defects finds nothing, _defects' counts
-    are the scalar ones, and the sup-diff is max |w - above|; returns
-    whether _check accepted."""
-    clean, sup_diff = wv._check(w, above, floor, ceiling)
-    with np.errstate(invalid="ignore"):   # np.diff of adjacent infinities
-        defects = wv._defects(w, above, floor, ceiling)
-    assert clean is (not any(defects))
-    assert defects == counted_defects(w, above, floor, ceiling)
+    """_check names the rule first_broken_rule names, and its sup-diff is
+    max |w - above|; returns the rule."""
+    rule, sup_diff = wv._check(w, above, floor, ceiling)
+    assert rule == first_broken_rule(w, above, floor, ceiling)
     want = float(np.max(np.abs(w - above)))
     assert sup_diff == want or (np.isnan(sup_diff) and np.isnan(want))
-    return clean
+    return rule
 
 
 TOL = wv.INVARIANT_TOL
@@ -492,7 +508,7 @@ TOL = wv.INVARIANT_TOL
 class TestIterateCheck:
     @given(check_inputs())
     @settings(max_examples=1000, deadline=None)
-    def test_short_circuit_pass_agrees_with_the_counts(self, inputs):
+    def test_short_circuit_pass_agrees_with_the_scalar_rules(self, inputs):
         assert_check_agrees(*inputs)
 
     @pytest.mark.parametrize("w, floor, ceiling, clean", [
@@ -500,8 +516,9 @@ class TestIterateCheck:
         ([0.5, wv.FLOOR_DELTA, 0.0], 0.0, 1.0, True),
         ([0.5, 0.25, 0.0], [0.5, 0.25, 0.0], 0.5, True),     # on the floor and the ceiling
         ([1.0 + TOL] * 3, 0.0, 2.0, True),                   # a rise of TOL over above
-        # a rise under TOL moves the max off the first sample, and the
-        # interior min off the last interior one
+        # a rise under TOL moves the max off the first sample (past the
+        # ceiling), and the interior min off the last interior one (below
+        # the positivity floor)
         ([0.5, 0.5 + 0.5 * TOL, 0.1], 0.0, 0.5, False),
         ([0.5, 0.5 * wv.FLOOR_DELTA, 0.5 * wv.FLOOR_DELTA + 0.5 * TOL, 0.0], 0.0, 1.0,
          False),
@@ -509,7 +526,42 @@ class TestIterateCheck:
     def test_exact_thresholds(self, w, floor, ceiling, clean):
         w = np.array(w)
         floor = np.broadcast_to(np.asarray(floor, dtype=float), w.shape)
-        assert assert_check_agrees(w, np.ones_like(w), floor, ceiling) is clean
+        rule = assert_check_agrees(w, np.ones_like(w), floor, ceiling)
+        assert rule == (None if clean else
+                        wv.RULE_CEILING if ceiling == 0.5 else wv.RULE_POSITIVE)
+
+    @pytest.mark.parametrize("w, above, floor, rule", [
+        ([0.5, np.inf, 0.1], 1.0, 0.0, wv.RULE_FINITE),            # and increasing
+        ([0.5, 2.0, 0.1], 1.0, 0.0, wv.RULE_NONINCREASING),        # and above u_c
+        ([2.0, 0.5, 1e-13, 0.0], 2.0, 0.0, wv.RULE_CEILING),       # and collapsed
+        ([0.5, 0.4, 1e-13, 0.0], 1.0, 0.3, wv.RULE_POSITIVE),      # and below the floor
+        ([0.5, 0.4, 0.1], 0.4, [0.0, 0.0, 0.2], wv.RULE_FLOOR),    # and risen
+        ([0.5, 0.4, 0.1], 0.4, 0.0, wv.RULE_DESCENT),
+    ])
+    def test_first_broken_rule_is_named(self, w, above, floor, rule):
+        w = np.array(w)
+        above, floor = (np.broadcast_to(np.asarray(a, dtype=float), w.shape)
+                        for a in (above, floor))
+        assert assert_check_agrees(w, above, floor, 1.0) == rule
+
+    @pytest.mark.parametrize("tamper, rule", [
+        # one sample above u_c: also a rise over the input, and a step up
+        (lambda out: out.__setitem__(5, 2.0), wv.RULE_NONINCREASING),
+        # all samples scaled up: past u_c at the far end, and a rise there
+        (lambda out: out.__imul__(1.001), wv.RULE_CEILING),
+    ], ids=["step-ceiling-descent", "ceiling-descent"])
+    def test_sweep_breaking_two_rules_names_the_first(self, monkeypatch, tamper, rule):
+        plain = wv._sweep
+
+        def tampered(values, u_c, convolver):
+            out = plain(values, u_c, convolver)
+            tamper(out)
+            return out
+
+        monkeypatch.setattr(wv, "_sweep", tampered)
+        with pytest.raises(wv.SchemeInvariantError,
+                           match=f"sweep 1 breaks the iterate rule: samples {rule}$"):
+            wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sweep_output_is_refused(self, monkeypatch, bad):
@@ -577,7 +629,7 @@ class TestSolve:
 
         monkeypatch.setattr(wv.SubsolutionSpec, "samples", barrier_at_u_c)
         with pytest.raises(wv.SchemeInvariantError,
-                           match=r"sweep 1: 0 monotonicity and [1-9]\d* ordering"):
+                           match=f"sweep 1 breaks the iterate rule: samples {wv.RULE_FLOOR}"):
             wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
 
     def test_sweep_output_below_the_floor_raises_at_that_sweep(self, monkeypatch):
@@ -600,13 +652,13 @@ class TestSolve:
             wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=256)
         assert len(outputs) == 2
 
-    @pytest.mark.parametrize("u_c, message", [
-        (0.25, "sweep 1: 0 monotonicity and 15 ordering violations"),
-        (1.0, "sweep 2: 21 monotonicity and 0 ordering violations"),
-    ])
-    def test_monotone_decay_is_load_bearing(self, u_c, message):
+    @pytest.mark.parametrize("u_c, sweep, rule", [
+        (0.25, 1, wv.RULE_FLOOR),
+        (1.0, 2, wv.RULE_DESCENT),
+    ], ids=["0.25-floor", "1.0-descent"])
+    def test_monotone_decay_is_load_bearing(self, u_c, sweep, rule):
         # peaks at +-2: the kernel fails monotone_decay alone.  A validation
-        # forced to pass lets the solver run on it, and an invariant breaks
+        # forced to pass lets the solver run on it, and an iterate rule breaks
         y = np.arange(-6, 7) * 0.5
         kernel = kk.tabulated_kernel(y, (np.abs(y) == 2.0).astype(float))
         report = kk.validate_kernel(kernel)
@@ -617,7 +669,8 @@ class TestSolve:
         grid = cv.HalfLineGrid(wv.default_length(kernel, params, n), n)
         certificate = dataclasses.replace(wv.subsolution(params, kernel, grid),
                                           validation=forced)
-        with pytest.raises(wv.SchemeInvariantError, match=message):
+        with pytest.raises(wv.SchemeInvariantError,
+                           match=f"sweep {sweep} breaks the iterate rule: samples {rule}"):
             wv.solve_wave(kernel, params, n=n, certificate=certificate)
 
     def test_table_solve_reads_no_breakpoints(self, monkeypatch):
@@ -789,7 +842,7 @@ class TestExtrapolation:
         # a candidate
         candidates = len(checked) - plain
         assert candidates > 0
-        assert sum(not clean for clean, _ in checked) == candidates
+        assert sum(rule is not None for rule, _ in checked) == candidates
 
     def test_solver_never_enters_the_checked_sweep(self, monkeypatch):
         # every array the solver sweeps is already checked, so it never

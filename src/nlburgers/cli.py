@@ -147,10 +147,11 @@ def _subsolution_report(profile) -> dict:
 
 
 def _convolution_report(profile) -> dict:
-    """The half-line plan of the profile's grid, in diagnostics.json's keys."""
+    """The half-line plan of the profile's grid: diagnostics.json's keys,
+    and the kernel mass beyond L/2."""
     plan = profile.convolver
     return {"fft_length": plan._nfft, "band_cells": plan.band,
-            "dropped_mass": plan.dropped_mass}
+            "dropped_mass": plan.dropped_mass, "tail_mass": plan.tail_mass}
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +227,9 @@ def cmd_classify(cfg: dict, out: Path) -> int:
         "amplitude": record.amplitude,
         "threshold": record.threshold,
         "consistent": record.consistent,
+        # the identity holds only across a continuous profile
+        "jump_identity": (waves.jump_identity(record.profile, kernel)
+                          if record.measured == "continuous" else None),
         "subsolution": _subsolution_report(record.profile),
         "convolution": _convolution_report(record.profile),
     }

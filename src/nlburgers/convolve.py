@@ -255,11 +255,13 @@ class OddConvolver:
     and each column is a windowed dot product over the rows that reach
     the band only.  ``dropped_mass``, the kernel mass beyond B h (0 when
     the band spans 2L), is at most 2^-56, so the plan moves by rounding
-    only; kernels of exact support drop nothing.  Each Hankel sample keeps
-    its float argument -2L + (S r + k) h_f.  The Toeplitz row holds the
-    same offsets in exact arithmetic, but not in floats: where a density
-    jump lies within an ulp of a sample, the two roundings read different
-    values.  The exact row 1 - 2 Phi(x_i) rounds to exactly 1 where
+    only; kernels of exact support drop nothing.  ``tail_mass`` is the
+    kernel mass beyond L/2: at most TAIL_TOL (the plan refuses more), and
+    at most SOLVER_TAIL_TOL on the domains the wave solver picks.  Each
+    Hankel sample keeps its float argument -2L + (S r + k) h_f.  The
+    Toeplitz row holds the same offsets in exact arithmetic, but not in
+    floats: where a density jump lies within an ulp of a sample, the two
+    roundings read different values.  The exact row 1 - 2 Phi(x_i) rounds to exactly 1 where
     x_i < -R, and Phi is evaluated only inside.
     """
 
@@ -276,6 +278,7 @@ class OddConvolver:
         self.kernel = kernel
         self.grid = grid
         self.refine = int(refine)
+        self.tail_mass = tail
 
         n, r = grid.n, self.refine
         m = n * r

@@ -46,6 +46,15 @@ v_{k+1}, and the next candidate starts one halving below the discarded
 one, at theta/4 at the lowest.  An accepted candidate puts theta back at
 0.7.  So every accepted iterate still descends and stays inside the
 bracket at 1e-10, and every swept candidate counts as a sweep.
+
+Each sweep's march is the recurrence w_{i+1} = r_i w_i + b_i with
+r_i = exp(-theta_i).  When the decay of the interior cells, sum theta, is
+at most PRODUCT_DECAY = 400, it runs on running products (one cumprod and
+one cumsum); otherwise it runs by recursive doubling.  Waves of moderate
+amplitude have a decay of tens to a few hundred and take the products;
+weak waves, whose decay runs to thousands, keep the doubling, because their
+products would fall through the subnormals (several times slower per
+element) and then to zero.
 """
 
 from __future__ import annotations
@@ -74,6 +83,10 @@ FLOOR_DELTA = 1e-12
 
 #: tolerance for the per-sweep ordering checks
 INVARIANT_TOL = 1e-10
+
+#: largest interior decay sum(theta) that the march runs on running
+#: products; they then stay >= e^-400 ~ 2^-577, far above the subnormals
+PRODUCT_DECAY = 400.0
 
 #: the iterate rules in the order _check tests them; each reads after "samples"
 RULE_FINITE = "are finite"
@@ -425,6 +438,14 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
     weights are nonnegative and w0 + w1 = 1 - r, so the update is a
     convex-type combination: positivity and upper bounds of g are
     inherited exactly.
+
+    The recurrence runs on running products (_product_scan) when the
+    interior cells' decay, the sum of theta over all but the origin cell,
+    is at most PRODUCT_DECAY, and by doubling (_scan) otherwise, a
+    non-finite sum included.  The sum is taken before any product is
+    formed: a cumprod that passes through the subnormals takes about eight
+    times as long, and a products scan broken into blocks at each
+    underflow needs hundreds of blocks on weak waves.
     """
     u0, u1 = u[:-1], u[1:]
     du = u0 - u1
@@ -448,7 +469,40 @@ def _advance(u: np.ndarray, g: np.ndarray, h: float, left_value: float) -> np.nd
     if origin:
         w1[-1], w0[-1] = 1.0, 0.0
     b = w0 * g[:-1] + w1 * g[1:]
+    # a NaN decay compares false and takes the doubling
+    if r.size >= 2 and theta[:-1].sum() <= PRODUCT_DECAY:
+        return _product_scan(r, b, left_value)
     return _scan(r, b, left_value)
+
+
+def _product_scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
+    """x_{i+1} = r_i x_i + b_i from x_0 = x0 on running products, the
+    prefix-sum form of a first-order linear recurrence (Blelloch 1990).
+
+    With p_k = r_0 ... r_k, x_{k+1} = p_k (x0 + sum_{j<=k} b_j / p_j) for
+    the cells k <= n - 2: one cumprod, one cumsum and two elementwise
+    passes.  The caller takes this path only when the decay of those cells
+    is at most PRODUCT_DECAY, so every p_k >= e^-400 is a normal float.
+    The last cell, whose r is 0 on continuous waves, is one scalar step.
+    For b >= 0 the running sums are nondecreasing, so the last one bounds
+    them all.  Where it overflows, which takes n max(b) e^PRODUCT_DECAY
+    beyond the float range (b ~ 1e131 at n = 4096), the doubling runs
+    instead, so the result is finite wherever the recurrence is.
+    """
+    n = r.size
+    out = np.empty(n + 1)
+    out[0] = x0
+    p = np.cumprod(r[:-1])
+    c = out[1:n]
+    with np.errstate(over="ignore"):
+        np.divide(b[:-1], p, out=c)
+        c[0] += x0
+        np.cumsum(c, out=c)
+    if not math.isfinite(c[-1]):
+        return _scan(r, b, x0)
+    c *= p
+    out[n] = r[-1] * out[n - 1] + b[-1]
+    return out
 
 
 def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
@@ -462,7 +516,9 @@ def _scan(r: np.ndarray, b: np.ndarray, x0: float) -> np.ndarray:
     a_i *= a_{i-k}.  After ceil(log2 n) rounds c_i = x_{i+1}.  The march
     has 0 <= r_i <= 1 and b_i >= 0, so every term is nonnegative: nothing
     overflows or cancels, and a cell with r_i = 0 just cuts off everything
-    before it.
+    before it.  No running product spans the whole domain, so weak waves,
+    whose decay exceeds PRODUCT_DECAY and whose running products would
+    underflow, take this path (see _advance).
     """
     n = r.size
     out = np.empty(n + 1)

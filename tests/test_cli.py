@@ -14,6 +14,7 @@ import pytest
 
 from nlburgers import cauchy as cy
 from nlburgers import cli
+from nlburgers import convolve as cv
 from nlburgers import kernels as kk
 from nlburgers import waves as wv
 
@@ -163,13 +164,16 @@ class TestSolveCommand:
         assert code == 0
         meta = json.loads((tmp_path / "profile.meta.json").read_text())
         conv = meta["convolution"]
-        assert sorted(conv) == ["band_cells", "dropped_mass", "fft_length"]
+        assert sorted(conv) == ["band_cells", "dropped_mass", "fft_length", "tail_mass"]
         assert conv["fft_length"] == 512
         kernel = cli.parse_kernel_spec(spec)
         h = meta["length"] / 256
         assert conv["band_cells"] == int(np.ceil(kernel.radius(2.0 ** -56) / h))
         assert (0.0 < conv["dropped_mass"] <= 2.0 ** -56) if dropped else (
             conv["dropped_mass"] == 0.0)
+        # the default L keeps the kernel mass beyond L/2 under 1e-10
+        assert conv["tail_mass"] == kernel.tail_mass(0.5 * meta["length"])
+        assert 0.0 <= conv["tail_mass"] <= cv.SOLVER_TAIL_TOL
 
     def test_sweep_counts_add_up(self, tmp_path):
         # u_c = 0.25 has plain, accepted and discarded candidate sweeps
@@ -306,6 +310,20 @@ class TestClassifyCommand:
         radius = cli.parse_kernel_spec(spec).radius(2.0 ** -56)
         assert conv["band_cells"] == int(np.ceil(radius / h))
         assert 0.0 < conv["dropped_mass"] <= 2.0 ** -56
+        assert 0.0 <= conv["tail_mass"] <= cv.SOLVER_TAIL_TOL
+        # the jump identity holds only across a continuous profile
+        assert payload["jump_identity"] is None
+
+    def test_continuous_reports_jump_identity(self, tmp_path):
+        code = run(["classify", "--kernel", "exp:k=1", "--u-minus", "0.4",
+                    "--u-plus", "-0.4", "--grid-n", "256", "--out-dir", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "classification.json").read_text())
+        assert payload["measured"] == "continuous"
+        kernel = cli.parse_kernel_spec("exp:k=1")
+        record = wv.classify_shock(kernel, wv.WaveParams(0.4, -0.4), n=256)
+        assert payload["jump_identity"] == wv.jump_identity(record.profile, kernel)
+        assert 0.0 <= payload["jump_identity"] <= 1e-4
 
     def test_indeterminate_exit_two(self, tmp_path):
         code = run(["classify", "--kernel", "exp:k=1", "--u-minus", "1",

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,39 @@ def dense_jump_identity(profile, kernel):
                     left=u_c, right=-u_c)
     inner = (u_z.reshape(z.shape) * wt).sum(axis=1)
     return abs(float(np.sum(wy * y * kernel.density(y) * inner)) + 0.5 * u_c ** 2)
+
+
+def exact_recurrence(r, b, x0):
+    """x_{i+1} = r_i x_i + b_i in exact arithmetic on the float inputs,
+    each node within an ulp of its exact value.  Every float is an integer
+    times a power of two, so the running value is one integer and one
+    exponent: the exact Fraction recurrence without its gcd reductions."""
+    def dyadic(v):
+        mantissa, exponent = math.frexp(v)
+        return int(mantissa * 2.0 ** 53), exponent - 53
+
+    num, exp = dyadic(x0)
+    out = [x0]
+    for ri, bi in zip(r.tolist(), b.tolist()):
+        rn, re = dyadic(ri)
+        bn, be = dyadic(bi)
+        num, exp = num * rn, exp + re
+        if be >= exp:
+            num += bn << (be - exp)
+        else:
+            num, exp = (num << (exp - be)) + bn, be
+        # the 64 leading bits, rounded to a float
+        shift = max(0, num.bit_length() - 64)
+        out.append(math.ldexp(num >> shift, exp + shift))
+    return np.array(out)
+
+
+def scalar_recurrence(r, b, x0):
+    want = np.empty(r.size + 1)
+    want[0] = x0
+    for i in range(r.size):
+        want[i + 1] = r[i] * want[i] + b[i]
+    return want
 
 
 def overlap_taps(quad):
@@ -296,6 +330,31 @@ class TestSubsolution:
         assert len(seen) == wv.SUBSOLUTION_MAX_HALVINGS + 1
 
 
+def products_allowed(decay):
+    """Whether _advance would run this march on running products."""
+    return decay.size >= 2 and np.sum(decay[:-1]) <= wv.PRODUCT_DECAY
+
+
+def march_spies(monkeypatch):
+    """Record (path, r, b, x0) for every scan _advance runs."""
+    calls = []
+    for name in ("_scan", "_product_scan"):
+        def spy(r, b, x0, name=name, scan=getattr(wv, name)):
+            calls.append((name, r.copy(), b.copy(), x0))
+            return scan(r, b, x0)
+        monkeypatch.setattr(wv, name, spy)
+    return calls
+
+
+def decay_at(u, target):
+    """The cell width h at which the interior decay of u is target: each
+    theta is h times a function of u alone."""
+    u0, u1 = u[:-2], u[1:-1]
+    du = u0 - u1
+    per_h = np.sum(np.log1p(du / u1) / du)
+    return target / per_h
+
+
 class TestMarchInternals:
     def test_scan_matches_scalar_recurrence(self):
         # sizes below, at and just past a power of two
@@ -307,28 +366,90 @@ class TestMarchInternals:
                 decay[200] = 2e6      # exp underflows, r = 0 cuts off the past
             r = np.exp(-decay)
             b = rng.uniform(0.0, 0.1, n)
-            got = wv._scan(r, b, 0.8)
-            want = np.empty(n + 1)
-            want[0] = 0.8
-            for i in range(n):
-                want[i + 1] = r[i] * want[i] + b[i]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+            want = scalar_recurrence(r, b, 0.8)
+            scans = [wv._scan] + ([wv._product_scan] if products_allowed(decay) else [])
+            for scan in scans:
+                np.testing.assert_allclose(scan(r, b, 0.8), want, rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("max_decay", [2.5, 40.0])
     def test_scan_matches_exact_recurrence(self, max_decay):
         # the recurrence in exact rational arithmetic on the float inputs;
-        # the doubling rounds keep the relative error at a few ulps
+        # the doubling rounds keep the relative error at a few ulps, and so
+        # do the running products where the decay (358 at 2.5) allows them
         rng = np.random.default_rng(11)
-        r = np.exp(-rng.uniform(0.0, max_decay, 300))
+        decay = rng.uniform(0.0, max_decay, 300)
+        r = np.exp(-decay)
         b = rng.uniform(0.0, 0.1, 300)
-        got = wv._scan(r, b, 0.8)
         x = Fraction(0.8)
         want = [x]
         for ri, bi in zip(r, b):
             x = Fraction(float(ri)) * x + Fraction(float(bi))
             want.append(x)
         want = np.array([float(v) for v in want])
+        scans = [wv._scan] + ([wv._product_scan] if products_allowed(decay) else [])
+        assert len(scans) == (2 if max_decay == 2.5 else 1)
+        for scan in scans:
+            got = scan(r, b, 0.8)
+            assert np.max(np.abs(got - want) / want) <= 4e-15
+
+    def test_product_scan_matches_exact_recurrence(self):
+        # a march's decay: theta ~ U[0.005, 0.04] (sum 92) and an origin
+        # cell with r = 0, as on a continuous wave
+        rng = np.random.default_rng(7)
+        n = 4096
+        r = np.exp(-rng.uniform(0.005, 0.04, n))
+        r[-1] = 0.0
+        b = rng.uniform(0.0, 0.1, n)
+        want = exact_recurrence(r, b, 0.8)
+        got = wv._product_scan(r, b, 0.8)
         assert np.max(np.abs(got - want) / want) <= 4e-15
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_march_path_at_the_decay_bound(self, monkeypatch, side):
+        # the interior decay just below the bound runs on products, just
+        # above it by the doubling, bit for bit; both match the recurrence
+        rng = np.random.default_rng(13)
+        n = 512
+        u = np.sort(rng.uniform(0.05, 1.0, n + 1))[::-1].copy()
+        u[-1] = 0.0
+        g = rng.uniform(0.0, 1.0, n + 1)
+        h = decay_at(u, wv.PRODUCT_DECAY * (1.0 + side * 1e-6))
+        calls = march_spies(monkeypatch)
+        got = wv._advance(u, g, h, 1.0)
+        [(path, r, b, x0)] = calls
+        assert path == ("_scan" if side > 0 else "_product_scan")
+        np.testing.assert_allclose(got, scalar_recurrence(r, b, x0), rtol=1e-12)
+        if side > 0:
+            np.testing.assert_array_equal(got, wv._scan(r, b, x0))
+
+    def test_product_scan_huge_sources_stay_finite(self, monkeypatch):
+        # b / p reaches 1e200 e^400, beyond the float range: the products
+        # path hands the march to the doubling without a RuntimeWarning
+        rng = np.random.default_rng(17)
+        n = 512
+        u = np.sort(rng.uniform(0.05, 1.0, n + 1))[::-1].copy()
+        u[-1] = 0.0
+        h = decay_at(u, 0.999 * wv.PRODUCT_DECAY)
+        calls = march_spies(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wv._advance(u, np.full(n + 1, 1e200), h, 1e200)
+        assert [c[0] for c in calls] == ["_product_scan", "_scan"]
+        _, r, b, x0 = calls[0]
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, scalar_recurrence(r, b, x0), rtol=1e-12)
+
+    @pytest.mark.parametrize("amplitude, n, unused", [
+        (0.5, 4096, "_scan"),            # decay 92-128 per march
+        (0.005, 1024, "_product_scan"),  # decay in the thousands
+    ])
+    def test_march_path_by_amplitude(self, monkeypatch, amplitude, n, unused):
+        def refuse(r, b, x0):
+            raise AssertionError(f"{unused} entered")
+
+        monkeypatch.setattr(wv, unused, refuse)
+        profile, _ = wv.solve_wave(EXP1, wv.WaveParams(amplitude, -amplitude), n=n)
+        assert profile.converged
 
     def test_advance_matches_ode_integration(self):
         # the product rule is exact for piecewise-linear u and g; a tight

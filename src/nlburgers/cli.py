@@ -51,14 +51,7 @@ def parse_kernel_spec(spec: str) -> kernels.Kernel:
         param = float(value)
     except ValueError as exc:
         raise kernels.KernelError(f"kernel spec {spec!r}: bad number {value!r}") from exc
-    if family not in kernels.SPELLINGS:
-        raise kernels.KernelError(f"unknown kernel family {family!r}")
-    expected = kernels.SPELLINGS[family][1]
-    if name.strip() != expected:
-        raise kernels.KernelError(
-            f"kernel spec {spec!r}: family {family!r} takes parameter {expected!r}"
-        )
-    return kernels.build_kernel(family, **{expected: param})
+    return kernels.build_kernel(family, **{name.strip(): param})
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +88,8 @@ def _coerce(key: str, value, kind):
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags; a null in the file, like
-    an unset flag, leaves the key as it was."""
+    an unset flag, leaves the key as it was.  A non-finite float is
+    refused: the meta JSON that embeds the config could not hold it."""
     from_file = _load_config(args.config)
     unknown = set(from_file) - set(defaults)
     if unknown:
@@ -108,6 +102,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"config key {key!r}: {value!r} is not finite")
     return merged
 
 

@@ -60,7 +60,7 @@ element) and then to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -76,7 +76,7 @@ from .convolve import (
     snap_length,
     trapezoid_weights,
 )
-from .kernels import Kernel, KernelError, KernelValidation, validate_kernel
+from .kernels import Kernel, KernelError, validate_kernel
 
 #: hard floor for iterate samples; a breach means the scheme collapsed
 FLOOR_DELTA = 1e-12
@@ -184,8 +184,8 @@ class SubsolutionSpec:
 
     The certificate g <= 1 depends on the kernel, u_c and L alone, which
     it records; it holds no samples, and ``samples(grid)`` takes them on
-    any grid of [-L, 0].  ``validation`` is the passed kernel check of the
-    solve that returned it, so a later solve given it can skip that check.
+    any grid of [-L, 0].  It is the epsilon decision alone: a solve given
+    it still validates the kernel.
     """
 
     epsilon: float
@@ -195,7 +195,6 @@ class SubsolutionSpec:
     kernel: Kernel
     u_c: float
     length: float
-    validation: Optional[KernelValidation] = field(default=None, repr=False)
 
     def samples(self, grid: HalfLineGrid) -> np.ndarray:
         """s_sub at the grid nodes."""
@@ -637,13 +636,11 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
                certificate: Optional[SubsolutionSpec] = None):
     """Iterate from the supersolution to the wave; returns (profile, trace).
 
-    The profile keeps the convolution plan built for its grid and the
-    subsolution certificate, which carries the kernel validation.  A
-    ``certificate`` from an earlier solve with the same kernel object, u_c
-    and L is reused in place of a new subsolution search, and so is the
-    validation it carries; a certificate without one (from a bare
-    subsolution call) leaves the kernel to be validated here.  The
-    certificate holds no samples: they are taken on this grid.
+    The kernel is validated on every call.  The profile keeps the
+    convolution plan built for its grid and the subsolution certificate.  A
+    ``certificate`` from an earlier solve or a subsolution call with the
+    same kernel object, u_c and L is reused in place of a new subsolution
+    search; it holds no samples: they are taken on this grid.
 
     Sweeps from extrapolated candidates (see the module docstring) count
     toward ``max_iter`` and the trace like plain sweeps; a discarded
@@ -669,16 +666,7 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 <= tol_iter < np.inf:
         raise ValueError(f"tol_iter must be finite and nonnegative, got {tol_iter}")
-    report = None
-    if certificate is not None:
-        if certificate.kernel is not kernel:
-            raise ValueError("subsolution certificate was made for another kernel")
-        if certificate.u_c != params.u_c:
-            raise ValueError(f"subsolution certificate was made for u_c = "
-                             f"{certificate.u_c!r}, not {params.u_c!r}")
-        report = certificate.validation
-    if report is None:
-        report = validate_kernel(kernel)
+    report = validate_kernel(kernel)
     if not report.all_passed:
         bad = [k for k, c in report.checks.items() if not c.passed]
         raise KernelError(f"kernel fails hypothesis checks: {', '.join(bad)}")
@@ -686,16 +674,21 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
         length = default_length(kernel, params, n, refine)
     else:
         length = snap_length(kernel, float(length), n, refine)
-    if certificate is not None and certificate.length != length:
-        raise ValueError(f"subsolution certificate was made for L = "
-                         f"{certificate.length!r}, not {length!r}")
+    if certificate is not None:
+        if certificate.kernel is not kernel:
+            raise ValueError("subsolution certificate was made for another kernel")
+        if certificate.u_c != params.u_c:
+            raise ValueError(f"subsolution certificate was made for u_c = "
+                             f"{certificate.u_c!r}, not {params.u_c!r}")
+        if certificate.length != length:
+            raise ValueError(f"subsolution certificate was made for L = "
+                             f"{certificate.length!r}, not {length!r}")
 
     grid = HalfLineGrid(length, n)
     convolver = OddConvolver(kernel, grid, refine)
     if certificate is None:
         certificate = subsolution(params, kernel, grid)
-    sub = replace(certificate, validation=report)
-    floor, ceiling = sub.samples(grid) - INVARIANT_TOL, params.u_c + INVARIANT_TOL
+    floor, ceiling = certificate.samples(grid) - INVARIANT_TOL, params.u_c + INVARIANT_TOL
 
     trace = IterationTrace()
     # sup_diff is the change of the sweep that made v, back that sweep's
@@ -745,7 +738,7 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
 
     profile = WaveProfile(grid=grid, values=v, params=params,
                           converged=converged, iterations=trace.iterations,
-                          final_sup_diff=sup_diff, subsolution=sub,
+                          final_sup_diff=sup_diff, subsolution=certificate,
                           convolver=convolver)
     return profile, trace
 

@@ -124,7 +124,7 @@ class TestKernelSpecs:
         ("exp:k", "kernel spec 'exp:k': expected name=value"),
         ("exp:k=x", "kernel spec 'exp:k=x': bad number 'x'"),
         ("foo:k=1", "unknown kernel family 'foo'"),
-        ("exp:a=1", "kernel spec 'exp:a=1': family 'exp' takes parameter 'k'"),
+        ("exp:a=1", "family 'exp' takes parameter 'k', got ['a']"),
     ])
     def test_error_texts(self, spec, message):
         # sweep rows and the CLI's JSON errors carry these texts verbatim
@@ -211,14 +211,21 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert not (tmp_path / "profile.meta.json").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
-    def test_unusable_tolerance_error_json(self, tmp_path, capsys, tol):
+    @pytest.mark.parametrize("tol, made_out_dir", [
+        ("nan", False), ("inf", False), ("-1e-8", True)], ids=["nan", "inf", "-1e-8"])
+    def test_unusable_tolerance_error_json(self, tmp_path, capsys, tol,
+                                           made_out_dir):
+        # a non-finite tolerance is refused with the config, before the
+        # output directory is made; a negative one by solve_wave
         out = tmp_path / "out"
         code = run(["solve", "--kernel", "exp:k=1", "--grid-n", "64",
                     "--max-iter", "20", f"--tol-iter={tol}", "--out-dir", str(out)])
         assert code == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
-        assert list(out.iterdir()) == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "tol_iter" in err["message"]
+        assert out.exists() == made_out_dir
+        assert not made_out_dir or list(out.iterdir()) == []
 
     def test_non_finite_meta_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(wv, "flux_balance", lambda *args, **kw: float("inf"))
@@ -529,8 +536,8 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "SimulationError"
 
     def test_non_finite_far_state_refused(self, tmp_path, capsys):
-        # a table whose ends match no far state: before SimConfig refused
-        # NaN, the far-field check let it through and a later step failed
+        # a table whose ends match no far state: a NaN far state is refused
+        # with the config, before the table is read or any step runs
         table = tmp_path / "profile.csv"
         table.write_text("x,U\n-1,1\n1,-1\n")
         code = run(["simulate", "--init-from", str(table), "--u-left", "nan",
@@ -539,8 +546,34 @@ class TestSimulateCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert "far states must be finite" in err["message"]
-        assert not (tmp_path / "sim" / "diagnostics.json").exists()
+        assert "'u_left'" in err["message"]
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("key, value, in_file", [
+        ("snapshot_interval", "inf", False), ("tanh_steepness", "inf", False),
+        ("level", "inf", False), ("t_end", "-inf", False),
+        ("cfl", "Infinity", True), ("cfl", "-Infinity", True), ("cfl", "NaN", True)])
+    def test_non_finite_value_refused_before_the_run(self, tmp_path, capsys,
+                                                     monkeypatch, key, value,
+                                                     in_file):
+        # every meta JSON embeds the config, which could not hold the value:
+        # it is refused before the simulation runs, not after
+        entered = []
+        monkeypatch.setattr(cy, "simulate", lambda *a, **kw: entered.append(a))
+        if in_file:
+            config = tmp_path / "run.json"
+            config.write_text(f'{{"{key}": {value}}}')
+            flags = ["--config", str(config)]
+        else:
+            flags = [f"--{key.replace('_', '-')}={value}"]
+        out = tmp_path / "sim"
+        code = run(["simulate", "--init", "tanh", "--cells", "128",
+                    "--t-end", "0.5", *flags, "--out-dir", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert repr(key) in err["message"]
+        assert entered == [] and not out.exists()
 
     @pytest.mark.parametrize("rows", ["1,1\n0,0.5\n-1,-1\n", "0,1\n0,1\n",
                                       "0,1\n"], ids=["decreasing", "repeated", "one_row"])

@@ -777,7 +777,8 @@ class TestSolve:
         (0.25, 1, wv.RULE_FLOOR),
         (1.0, 2, wv.RULE_DESCENT),
     ], ids=["0.25-floor", "1.0-descent"])
-    def test_monotone_decay_is_load_bearing(self, u_c, sweep, rule):
+    def test_monotone_decay_is_load_bearing(self, u_c, sweep, rule,
+                                            monkeypatch):
         # peaks at +-2: the kernel fails monotone_decay alone.  A validation
         # forced to pass lets the solver run on it, and an iterate rule breaks
         y = np.arange(-6, 7) * 0.5
@@ -786,13 +787,10 @@ class TestSolve:
         assert [k for k, c in report.checks.items() if not c.passed] == ["monotone_decay"]
         forced = dataclasses.replace(report, checks={
             **report.checks, "monotone_decay": kk.CheckResult(True, 0.0)})
-        params, n = wv.WaveParams(u_c, -u_c), 1024
-        grid = cv.HalfLineGrid(wv.default_length(kernel, params, n), n)
-        certificate = dataclasses.replace(wv.subsolution(params, kernel, grid),
-                                          validation=forced)
+        monkeypatch.setattr(wv, "validate_kernel", lambda k: forced)
         with pytest.raises(wv.SchemeInvariantError,
                            match=f"sweep {sweep} breaks the iterate rule: samples {rule}"):
-            wv.solve_wave(kernel, params, n=n, certificate=certificate)
+            wv.solve_wave(kernel, wv.WaveParams(u_c, -u_c), n=1024)
 
     def test_table_solve_reads_no_breakpoints(self, monkeypatch):
         # a table keeps its length, so snapping must not build the tuple of
@@ -1116,30 +1114,11 @@ class TestReuse:
         assert ((reused.epsilon, reused.g_sup, reused.g_limit, reused.halvings)
                 == (fresh.epsilon, fresh.g_sup, fresh.g_limit, fresh.halvings))
 
-    def test_classify_validates_once(self, validations):
-        rec = wv.classify_shock(EXP1, wv.WaveParams(1.0, -1.0), n=128)
-        assert len(validations) == 1 and validations[0] is EXP1
-        assert rec.profile.subsolution.validation.all_passed
-
-    def test_bare_certificate_still_validates(self, validations):
-        # a certificate from subsolution() alone proves nothing about the
-        # kernel checks, so the solve runs them
-        params = wv.WaveParams(1.0, -1.0)
-        length = wv.default_length(EXP1, params, 128)
-        spec = wv.subsolution(params, EXP1, cv.HalfLineGrid(length, 128))
-        assert spec.validation is None
-        profile, _ = wv.solve_wave(EXP1, params, n=256, length=length,
-                                   certificate=spec)
-        assert len(validations) == 1
-        # the solve returns a copy that carries the validation; the
-        # caller's certificate is frozen and stays bare
-        assert spec.validation is None
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            spec.validation = profile.subsolution.validation
-        # the solve's own certificate carries the validation onward
-        wv.solve_wave(EXP1, params, n=512, length=length,
-                      certificate=profile.subsolution)
-        assert len(validations) == 1
+    def test_classify_validates_every_solve(self, validations):
+        # the certificate reused by the 2N and 4N solves carries no kernel
+        # check, so each solve runs its own
+        wv.classify_shock(EXP1, wv.WaveParams(1.0, -1.0), n=128)
+        assert len(validations) == 3 and all(k is EXP1 for k in validations)
 
     def test_residuals_reuse_the_solve_plan(self, built, monkeypatch):
         profile, _ = wv.solve_wave(EXP1, wv.WaveParams(1.0, -1.0), n=512)

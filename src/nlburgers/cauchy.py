@@ -84,17 +84,24 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Cell averages at the centers, at time t."""
+    """Cell averages at the centers, at time t, and their range u_min..u_max,
+    read once for the finiteness, band and CFL checks; do not change the arrays."""
 
     x: np.ndarray
     u: np.ndarray
     t: float = 0.0
+    u_min: float = field(init=False, repr=False)
+    u_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        # NaN fails every comparison, so these chains refuse it with +-inf
+        if not -np.inf < self.t < np.inf:
+            raise SimulationError(f"non-finite time t = {self.t!r}")
         self.u = np.asarray(self.u, dtype=float)
-        if self.u.shape != self.x.shape:
+        if self.u.shape != self.x.shape or self.u.size == 0:
             raise SimulationError("need one average per cell")
-        if not np.all(np.isfinite(self.u)):
+        self.u_min, self.u_max = float(self.u.min()), float(self.u.max())
+        if not -np.inf < self.u_min <= self.u_max < np.inf:
             raise SimulationError(f"non-finite cell averages at t = {self.t:.6g}")
 
 
@@ -156,21 +163,17 @@ def _explicit_update(u, conv, dt, dx, u_left, u_right):
     return out
 
 
-def _cfl_dt(umax: float, cfg: SimConfig) -> float:
-    """The CFL-limited step for cell averages with max |u| = umax."""
-    speed = max(umax, abs(cfg.u_left), abs(cfg.u_right), 1e-9)
+def stable_dt(state: SimState, cfg: SimConfig) -> float:
+    """The CFL-limited step; max |u| = max(u_max, -u_min) exactly."""
+    speed = max(state.u_max, -state.u_min, abs(cfg.u_left), abs(cfg.u_right), 1e-9)
     return min(cfg.cfl * cfg.dx / speed, DT_CAP)
-
-
-def stable_dt(u: np.ndarray, cfg: SimConfig) -> float:
-    return _cfl_dt(float(np.max(np.abs(u))), cfg)
 
 
 def step(state: SimState, cfg: SimConfig, convolver: FullLineConvolver,
          dt: float) -> SimState:
     """Advance one explicit step of size dt; ``convolver`` is the plan for
-    the cell centers and ``stable_dt`` gives the CFL-limited step."""
-    conv = convolver.apply(state.u, cfg.u_left, cfg.u_right)
+    the cells and far states, and ``stable_dt`` gives the CFL-limited step."""
+    conv = convolver.apply(state.u)
     u_new = _explicit_update(state.u, conv, dt, cfg.dx, cfg.u_left, cfg.u_right)
     return SimState(state.x, u_new, state.t + dt)
 
@@ -227,8 +230,9 @@ class Trajectory:
 
 
 def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
-    """Step to t_end, landing exactly on snapshot times and on t_end; every
-    step must stay in the max-principle band, widened by BAND_SLACK."""
+    """Step from init.t to t_end, landing exactly on t_end and on the times
+    init.t + k snapshot_interval; every step must stay in the max-principle
+    band, widened by BAND_SLACK."""
     # a state sampled for another grid would step at the wrong dx, or
     # report its data at the config's centers
     x = cfg.centers()
@@ -239,31 +243,27 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
         raise SimulationError(
             f"initial cells are off the config's cell centers by up to {offset:.6g}")
     _check_far_fields(init, cfg)
-    convolver = FullLineConvolver(kernel, init.x)
-    # the band check's min and max of each state also give the next step's
-    # speed: max |u| = max(mx, -mn) exactly
-    mn, mx = float(np.min(init.u)), float(np.max(init.u))
-    lo = min(cfg.u_left, cfg.u_right, mn) - BAND_SLACK
-    hi = max(cfg.u_left, cfg.u_right, mx) + BAND_SLACK
+    convolver = FullLineConvolver(kernel, init.x, cfg.u_left, cfg.u_right)
+    lo = min(cfg.u_left, cfg.u_right, init.u_min) - BAND_SLACK
+    hi = max(cfg.u_left, cfg.u_right, init.u_max) + BAND_SLACK
 
     traj = Trajectory(cfg, convolution={"fft_length": convolver._nfft,
                                         "band_cells": convolver.band,
                                         "dropped_mass": convolver.dropped_mass})
-    traj.add(init, min(mn - lo, hi - mx))
+    traj.add(init, min(init.u_min - lo, hi - init.u_max))
     state = init
-    next_snap = cfg.snapshot_interval
+    next_snap = init.t + cfg.snapshot_interval
     while state.t < cfg.t_end - 1e-12:
         target = min(next_snap, cfg.t_end)
-        dt = min(_cfl_dt(max(mx, -mn), cfg), target - state.t)
+        dt = min(stable_dt(state, cfg), target - state.t)
         state = step(state, cfg, convolver, dt)
-        mn, mx = float(np.min(state.u)), float(np.max(state.u))
-        if mn < lo or mx > hi:
+        if state.u_min < lo or state.u_max > hi:
             raise SimulationError(
                 f"cell averages left the sanity band [{lo:.6g}, {hi:.6g}] "
                 f"at t = {state.t:.6g}"
             )
         if state.t >= target - 1e-12:
-            traj.add(state, min(mn - lo, hi - mx))
+            traj.add(state, min(state.u_min - lo, hi - state.u_max))
             next_snap = target + cfg.snapshot_interval
     return traj
 

@@ -188,7 +188,6 @@ def cmd_solve(cfg: dict, out: Path) -> int:
             ("discarded", waves.DISCARDED_CANDIDATE))},
         "final_sup_diff": profile.final_sup_diff,
         "jump": profile.jump,
-        "classification": profile.classification,
         "converged": profile.converged,
         "residuals": _residuals(profile, kernel, cfg["refine"]),
         "subsolution": _subsolution_report(profile),

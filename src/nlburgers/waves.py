@@ -656,11 +656,11 @@ def solve_wave(kernel: Kernel, params: WaveParams, *,
     sweep output that breaks a rule of _check IterateCollapseError (the
     positivity rule) or SchemeInvariantError naming the sweep and the rule:
     a discretization bug, not a property of the problem.  Hitting max_iter
-    is not an error; the best iterate comes back with converged=False and
-    classification 'indeterminate'.  ValueError if max_iter < 1 (no sweep
-    leaves no measured sup_diff), unless 0 <= tol_iter < inf (inf converges
-    after one sweep, NaN or a negative tolerance never does), and for a
-    certificate made for another kernel object, u_c or L.
+    is not an error; the best iterate comes back with converged=False.
+    Classification is left to classify_shock.  ValueError if max_iter < 1
+    (no sweep leaves no measured sup_diff), unless 0 <= tol_iter < inf (inf
+    converges after one sweep, NaN or a negative tolerance never does), and
+    for a certificate made for another kernel object, u_c or L.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")

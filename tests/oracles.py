@@ -168,17 +168,18 @@ def rusanov_flux_diff(u, u_left, u_right):
     return flux[1:] - flux[:-1]
 
 
-def full_line_apply(plan, values, u_left, u_right):
-    """FullLineConvolver.apply without its cached far-state tail and with
-    an out-of-place spectrum product."""
-    toeplitz = plan._toeplitz
+def full_line_apply(plan, kernel, values, u_left, u_right):
+    """FullLineConvolver.apply with the far-state tail taken here from
+    ``kernel.cdf``, not from the plan, and an out-of-place spectrum
+    product."""
+    toeplitz, x = plan._toeplitz, plan.x
     spec = np.fft.rfft(plan._weights * values, toeplitz.nfft) * toeplitz._ft
     out = np.fft.irfft(spec, toeplitz.nfft)[toeplitz._lo:toeplitz._hi]
-    out += u_left * plan._tail_left + u_right * plan._tail_right
+    out += u_left * (1.0 - kernel.cdf(x - x[0])) + u_right * kernel.cdf(x - x[-1])
     return out / plan._row
 
 
-def explicit_step(u, plan, dt, dx, u_left, u_right):
+def explicit_step(u, plan, kernel, dt, dx, u_left, u_right):
     """One forward-Euler step: Rusanov advection plus unsplit relaxation."""
-    conv = full_line_apply(plan, u, u_left, u_right)
+    conv = full_line_apply(plan, kernel, u, u_left, u_right)
     return u - (dt / dx) * rusanov_flux_diff(u, u_left, u_right) + dt * (conv - u)

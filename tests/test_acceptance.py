@@ -213,9 +213,9 @@ class TestCriterion8:
             cfg = cy.SimConfig(a=-40.0, b=40.0, m=256, t_end=1.0,
                                u_left=3.0, u_right=3.0)
             state = cy.initial_state(cfg, 3.0)
-            conv = cv.FullLineConvolver(kernel, state.x)
+            conv = cv.FullLineConvolver(kernel, state.x, cfg.u_left, cfg.u_right)
             for _ in range(100):
-                state = cy.step(state, cfg, conv, cy.stable_dt(state.u, cfg))
+                state = cy.step(state, cfg, conv, cy.stable_dt(state, cfg))
             worst = max(worst, float(np.max(np.abs(state.u - 3.0))))
         report(8, worst <= 1e-12,
                f"constant state deviation {worst:.2e} <= 1e-12 after 100 "

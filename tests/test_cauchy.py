@@ -71,9 +71,9 @@ class TestStep:
         cfg = cy.SimConfig(a=-40.0, b=40.0, m=256, t_end=1.0,
                            u_left=3.0, u_right=3.0)
         state = cy.initial_state(cfg, 3.0)
-        conv = FullLineConvolver(EXP1, state.x)
+        conv = FullLineConvolver(EXP1, state.x, cfg.u_left, cfg.u_right)
         for _ in range(100):
-            state = cy.step(state, cfg, conv, cy.stable_dt(state.u, cfg))
+            state = cy.step(state, cfg, conv, cy.stable_dt(state, cfg))
         assert np.max(np.abs(state.u - 3.0)) <= 1e-12
 
     def test_five_cell_hand_computation(self):
@@ -110,44 +110,77 @@ class TestStep:
         else:
             u = np.where(x < 0.0, cfg.u_left, cfg.u_right)
         state = cy.SimState(x, u, 0.5)
-        conv = FullLineConvolver(EXP1, x)
+        conv = FullLineConvolver(EXP1, x, cfg.u_left, cfg.u_right)
         for _ in range(3):
-            dt = cy.stable_dt(state.u, cfg)
-            want = explicit_step(state.u, conv, dt, cfg.dx, cfg.u_left, cfg.u_right)
+            dt = cy.stable_dt(state, cfg)
+            want = explicit_step(state.u, conv, EXP1, dt, cfg.dx, cfg.u_left, cfg.u_right)
             got = cy.step(state, cfg, conv, dt)
             assert np.array_equal(got.u.view(np.int64), want.view(np.int64))
             assert got.t == state.t + dt
             state = got
 
     def test_non_finite_update_names_the_time(self):
-        # the state check alone refuses a NaN update, naming the new time;
-        # numpy warns about nothing on the way
+        # the state check alone refuses a NaN or infinite update, naming
+        # the new time; numpy warns about nothing on the way
         cfg = cy.SimConfig(a=-40.0, b=40.0, m=256, t_end=1.0,
                            u_left=1.0, u_right=1.0)
         state = cy.SimState(cfg.centers(), np.ones(cfg.m), 0.25)
 
-        class NaNConvolver:
-            def apply(self, values, u_left, u_right):
+        class BadConvolver:
+            def __init__(self, bad):
+                self.bad = bad
+
+            def apply(self, values):
                 out = np.ones_like(values)
-                out[100] = np.nan
+                out[100] = self.bad
                 return out
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(cy.SimulationError,
-                               match=r"non-finite cell averages at t = 0\.26"):
-                cy.step(state, cfg, NaNConvolver(), 0.01)
+        for bad in (np.nan, np.inf, -np.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(cy.SimulationError,
+                                   match=r"non-finite cell averages at t = 0\.26"):
+                    cy.step(state, cfg, BadConvolver(bad), 0.01)
+
+    def test_state_range_is_read_once(self):
+        # u_min and u_max are the array's own reductions, -0.0 included
+        rng = np.random.default_rng(3)
+        x = np.linspace(-1.0, 1.0, 200)
+        for u in (rng.normal(size=200), np.full(200, -0.0), -np.abs(rng.normal(size=200))):
+            state = cy.SimState(x, u, 0.5)
+            for got, want in ((state.u_min, u.min()), (state.u_max, u.max())):
+                assert np.array_equal(np.float64(got).view(np.int64),
+                                      np.float64(want).view(np.int64))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a NaN time would come back from simulate as a one-snapshot run
+        x = np.linspace(-1.0, 1.0, 200)
+        with pytest.raises(cy.SimulationError, match="non-finite time"):
+            cy.SimState(x, np.zeros(200), t)
 
     def test_cfl_dt(self):
         cfg = cy.SimConfig(a=-10.0, b=10.0, m=200, t_end=1.0,
                            u_left=2.0, u_right=0.0)
         state = cy.initial_state(
             cfg, lambda x: np.where(x < 0, 2.0, 0.0))
-        assert cy.stable_dt(state.u, cfg) == pytest.approx(0.4 * cfg.dx / 2.0)
+        assert cy.stable_dt(state, cfg) == pytest.approx(0.4 * cfg.dx / 2.0)
         tiny = cy.SimConfig(a=-10.0, b=10.0, m=200, t_end=1.0,
                             u_left=1e-12, u_right=1e-12, cfl=0.9)
         flat = cy.initial_state(tiny, 1e-12)
-        assert cy.stable_dt(flat.u, tiny) == cy.DT_CAP
+        assert cy.stable_dt(flat, tiny) == cy.DT_CAP
+
+    def test_cfl_speed_from_the_minimum(self):
+        # a dip below -max u and both far states: max(u_max, -u_min) is
+        # max |u| exactly, so the step is the max-of-abs formula's bit for bit
+        cfg = cy.SimConfig(a=-10.0, b=10.0, m=200, t_end=1.0,
+                           u_left=0.5, u_right=-0.25)
+        state = cy.initial_state(
+            cfg, lambda x: 0.125 - 0.375 * np.tanh(x) - 2.7 * np.exp(-x * x))
+        assert -state.u_min > max(state.u_max, 0.5)
+        speed = max(float(np.max(np.abs(state.u))), abs(cfg.u_left),
+                    abs(cfg.u_right), 1e-9)
+        assert cy.stable_dt(state, cfg) == min(cfg.cfl * cfg.dx / speed, cy.DT_CAP)
 
     def test_far_field_mismatch_rejected(self):
         cfg = cy.SimConfig(a=-10.0, b=10.0, m=200, t_end=1.0,
@@ -183,10 +216,10 @@ class TestSimulate:
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=512, t_end=1.0,
                            u_left=2.0, u_right=0.0)
         state = cy.initial_state(cfg, lambda x: 1.0 - np.tanh(x))
-        conv = FullLineConvolver(EXP1, state.x)
+        conv = FullLineConvolver(EXP1, state.x, cfg.u_left, cfg.u_right)
         for _ in range(3):
-            dt = cy.stable_dt(state.u, cfg)
-            kstar = conv.apply(state.u, cfg.u_left, cfg.u_right)
+            dt = cy.stable_dt(state, cfg)
+            kstar = conv.apply(state.u)
             flux_diff = _rusanov_flux_diff(state.u, cfg.u_left, cfg.u_right)
             predicted = (-dt / cfg.dx * np.sum(flux_diff)
                          + dt * np.sum(kstar - state.u)) * cfg.dx
@@ -196,8 +229,8 @@ class TestSimulate:
             state = new
 
     def test_steps_by_stable_dt(self):
-        # simulate takes max |u| from its band check's min and max; the
-        # speed must still be stable_dt's, to the bit.  The bumps exceed
+        # simulate steps by stable_dt of each new state: a loop of step
+        # and stable_dt gives its snapshots to the bit.  The bumps exceed
         # both far fields, on each side of zero
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=300, t_end=0.6, u_left=1.0,
                            u_right=-1.0, snapshot_interval=0.2)
@@ -205,16 +238,33 @@ class TestSimulate:
             init = cy.initial_state(
                 cfg, lambda x: -np.tanh(x) + bump * np.exp(-(x - 5.0) ** 2))
             traj = cy.simulate(init, EXP1, cfg)
-            conv = FullLineConvolver(EXP1, init.x)
+            conv = FullLineConvolver(EXP1, init.x, cfg.u_left, cfg.u_right)
             state, want = init, [init.u]
             for target in (0.2, 0.4, 0.6):
                 while state.t < target - 1e-12:
-                    dt = min(cy.stable_dt(state.u, cfg), target - state.t)
+                    dt = min(cy.stable_dt(state, cfg), target - state.t)
                     state = cy.step(state, cfg, conv, dt)
                 want.append(state.u)
             assert len(traj.snapshots) == len(want)
             for got, ref in zip(traj.snapshots, want):
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("interval", [0.25, 0.1])
+    def test_resumed_run_is_the_single_run(self, interval):
+        # a run resumed from another's final state keeps its snapshot clock
+        # from that state's time: the two legs are the 0 -> 2 run, bit for bit
+        cfg = cy.SimConfig(a=-40.0, b=40.0, m=400, t_end=2.0, u_left=1.0,
+                           u_right=-1.0, snapshot_interval=interval)
+        init = cy.initial_state(cfg, lambda x: -np.tanh(x))
+        whole = cy.simulate(init, EXP1, cfg)
+        first = cy.simulate(init, EXP1, dataclasses.replace(cfg, t_end=1.0))
+        second = cy.simulate(first.final, EXP1, cfg)
+        times = first.times + second.times[1:]
+        assert np.all(np.diff(second.times) > 0.0)
+        assert times == whole.times
+        for got, want in zip(first.snapshots + second.snapshots[1:], whole.snapshots,
+                             strict=True):
+            assert np.array_equal(got, want)
 
     def test_mass_and_band_reported_per_snapshot(self):
         # the inflow (u_left^2 - u_right^2) / 2 accounts for the mass change;
@@ -255,9 +305,9 @@ class TestSimulate:
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=400, t_end=0.5,
                            u_left=2.0, u_right=-2.0)
         state = cy.initial_state(cfg, lambda x: -2.0 * np.tanh(2.0 * x))
-        conv = FullLineConvolver(EXP1, state.x)
+        conv = FullLineConvolver(EXP1, state.x, cfg.u_left, cfg.u_right)
         for _ in range(5):
-            dt = cy.stable_dt(state.u, cfg)
+            dt = cy.stable_dt(state, cfg)
             new = cy.step(state, cfg, conv, dt)
             biggest = np.max(np.abs(new.u - state.u))
             cap = cfg.cfl * np.max(np.abs(state.u)) + dt * 2.0 * np.max(np.abs(state.u))

@@ -154,6 +154,17 @@ class TestSolveCommand:
         assert (out / "profile.csv").exists()
         assert (out / "trace.csv").exists()
 
+    def test_meta_carries_no_classification(self, tmp_path):
+        # solve never classifies, so the meta would say 'indeterminate' for
+        # a converged wave; classify and sweep report the verdict
+        for max_iter, code in (("400", 0), ("1", 2)):
+            out = tmp_path / max_iter
+            assert run(["solve", "--grid-n", "128", "--max-iter", max_iter,
+                        "--out-dir", str(out)]) == code
+            meta = json.loads((out / "profile.meta.json").read_text())
+            assert meta["converged"] is (code == 0)
+            assert "classification" not in meta
+
     @pytest.mark.parametrize("spec, dropped", [("exp:k=1", True), ("uniform:a=1", False)])
     def test_convolution_plan_reported(self, tmp_path, spec, dropped):
         # the half-line FFT spans 2N points; the band is ceil(R / h) cells,

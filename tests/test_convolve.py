@@ -542,7 +542,7 @@ class TestFullLine:
     def test_constants_are_exact(self):
         x = np.linspace(-40.0, 40.0, 2000)
         for ker in FULL_LINE_KERNELS:
-            out = cv.FullLineConvolver(ker, x).apply(np.full(x.size, 3.0), 3.0, 3.0)
+            out = cv.FullLineConvolver(ker, x, 3.0, 3.0).apply(np.full(x.size, 3.0))
             assert np.max(np.abs(out - 3.0)) <= 1e-12
 
     def test_step_closed_form_at_node(self):
@@ -550,24 +550,23 @@ class TestFullLine:
         x = np.linspace(-40.0, 40.0, 2001)
         u = np.where(x < 0.0, 1.0, -1.0)
         u[np.abs(x) < 1e-12] = 0.0
-        out = cv.FullLineConvolver(kk.exponential_kernel(1.0), x).apply(u, 1.0, -1.0)
+        out = cv.FullLineConvolver(kk.exponential_kernel(1.0), x, 1.0, -1.0).apply(u)
         i = np.argmin(np.abs(x + 1.0))
         assert out[i] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-4)
 
     def test_odd_data_vanishes_at_origin(self):
         x = np.linspace(-40.0, 40.0, 2001)
         u = np.clip(x, -40.0, 40.0)
-        out = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x).apply(u, -40.0, 40.0)
+        out = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x, -40.0, 40.0).apply(u)
         i = np.argmin(np.abs(x))
         assert abs(out[i]) <= 1e-11
 
     @pytest.mark.parametrize("ker", FULL_LINE_KERNELS, ids=lambda k: k.family)
     def test_matches_direct_sum(self, ker):
         # the plan sums over the kernel's band only; the dense rows take
-        # every offset, and the mass between them is below rounding
+        # every offset, and the mass between them is below rounding.  Each
+        # call returns a new array
         x = np.linspace(-40.0, 40.0, 1201)
-        plan = cv.FullLineConvolver(ker, x)
-        assert plan.band < x.size - 1
         dx = x[1] - x[0]
         w = np.full(x.size, dx)
         w[0] = w[-1] = 0.5 * dx
@@ -581,8 +580,11 @@ class TestFullLine:
                  + 0.3 * np.sin(x))
             direct = ((dens @ u + u_left * tail_left + u_right * tail_right)
                       / (dens.sum(axis=1) + tail_left + tail_right))
-            out = plan.apply(u, u_left, u_right)
+            plan = cv.FullLineConvolver(ker, x, u_left, u_right)
+            assert plan.band < x.size - 1
+            out = plan.apply(u)
             assert np.max(np.abs(out - direct)) <= 1e-14 * np.max(np.abs(u))
+            assert not np.shares_memory(out, plan.apply(u))
 
     @pytest.mark.parametrize("cells", [1000, 2000, 4000])
     @pytest.mark.parametrize("ker", FULL_LINE_KERNELS, ids=lambda k: k.family)
@@ -591,7 +593,7 @@ class TestFullLine:
         # the wrap-free m + 1 + B points, never more than the 2m + 1 of a
         # generator over the whole domain
         x = -40.0 + np.arange(cells + 1) * (80.0 / cells)
-        plan = cv.FullLineConvolver(ker, x)
+        plan = cv.FullLineConvolver(ker, x, 0.0, 0.0)
         dx = x[1] - x[0]
         assert plan.band == min(cells, int(np.ceil(ker.radius(cv.ROUNDING_TAIL) / dx)))
         assert plan._nfft == cv._fast_length(cells + 1 + plan.band)
@@ -604,8 +606,8 @@ class TestFullLine:
         # 4000 cells on [-40, 40]: 6000 points for exp, 4500 for gauss,
         # against 8000 for a generator over the whole domain
         x = -40.0 + (np.arange(4000) + 0.5) * 0.02
-        exp = cv.FullLineConvolver(kk.exponential_kernel(1.0), x)
-        gauss = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x)
+        exp = cv.FullLineConvolver(kk.exponential_kernel(1.0), x, 1.0, -1.0)
+        gauss = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x, 1.0, -1.0)
         assert (exp.band, exp._nfft) == (1941, 6000)
         assert (gauss.band, gauss._nfft) == (427, 4500)
 
@@ -619,7 +621,7 @@ class TestFullLine:
         x = np.linspace(-0.4 * ker.radius(cv.ROUNDING_TAIL),
                         0.4 * ker.radius(cv.ROUNDING_TAIL), 301)
         m, dx = x.size - 1, x[1] - x[0]
-        plan = cv.FullLineConvolver(ker, x)
+        plan = cv.FullLineConvolver(ker, x, -0.3, 0.2)
         assert (plan.band, plan.dropped_mass) == (m, 0.0)
         nfft = cv._fast_length(2 * m + 1)
         ft = np.fft.rfft(ker.density((np.arange(2 * m + 1) - m) * dx), nfft)
@@ -638,24 +640,10 @@ class TestFullLine:
         old = old_correlation(weights * u)
         old += -0.3 * tail_left + 0.2 * tail_right
         old /= row
-        got = plan.apply(u, -0.3, 0.2)
+        got = plan.apply(u)
         assert np.array_equal(got.view(np.int64), old.view(np.int64))
-
-    def test_far_state_cache_follows_its_key(self):
-        # far pairs A, B, A on one plan give what fresh plans give, to the
-        # bit, and the returned arrays are independent
-        x = np.linspace(-40.0, 40.0, 801)
-        u = np.tanh(x) + 0.3 * np.sin(x)
-        ker = kk.gaussian_kernel(1.0)
-        plan = cv.FullLineConvolver(ker, x)
-        pairs = [(-0.8, 1.2), (1.2, -0.8), (-0.8, 1.2), (0.0, 0.0), (-0.0, -0.0)]
-        got = [plan.apply(u, *pair) for pair in pairs]
-        for pair, out in zip(pairs, got):
-            fresh = cv.FullLineConvolver(ker, x).apply(u, *pair)
-            assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
-        assert not np.shares_memory(got[0], got[2])
 
     def test_domain_too_short(self):
         x = np.linspace(-3.0, 3.0, 200)
         with pytest.raises(cv.GridKernelError):
-            cv.FullLineConvolver(kk.exponential_kernel(1.0), x)
+            cv.FullLineConvolver(kk.exponential_kernel(1.0), x, 0.0, 0.0)

@@ -16,8 +16,9 @@ on fresh arrays, but each evaluates exactly the expression kept in
 ``tests/oracles.py``, and a test holds the step to it bit for bit.  That
 keeps every run's snapshots, and the CLI files written from them,
 byte-identical when the step is made faster; reordering a sum or a
-product would move them by rounding.  A plan of another FFT length (the
-full-line band sizes it) moves them by rounding too.
+product would move them by rounding.  So would a plan of another FFT
+length (the full-line band sizes it) or of another method (the
+exponential family's geometric recursion against the FFT).
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ class Trajectory:
     the net inflow of the far-field fluxes.
     ``band_margins`` is the distance of the cell averages from the edge of
     the band that ``simulate`` enforces, min(min u - lo, hi - max u).
-    ``convolution`` describes the full-line plan: its FFT length, its band
-    in cells and the kernel mass beyond the band.
+    ``convolution`` describes the full-line plan: its method ("geometric"
+    for the exponential family, "fft" otherwise), its FFT length (0 on the
+    geometric path), its band in cells and the kernel mass beyond the band.
     """
 
     config: SimConfig
@@ -230,8 +232,8 @@ class Trajectory:
 
 
 def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
-    """Step from init.t to t_end, landing exactly on t_end and on the times
-    init.t + k snapshot_interval; every step must stay in the max-principle
+    """Step from init.t, which must lie before t_end, to t_end, landing
+    exactly on t_end and on the times init.t + k snapshot_interval; every step must stay in the max-principle
     band, widened by BAND_SLACK."""
     # a state sampled for another grid would step at the wrong dx, or
     # report its data at the config's centers
@@ -242,12 +244,18 @@ def simulate(init: SimState, kernel: Kernel, cfg: SimConfig) -> Trajectory:
     if offset > 1e-12 * (cfg.b - cfg.a):
         raise SimulationError(
             f"initial cells are off the config's cell centers by up to {offset:.6g}")
+    # the loop below would take no step and return the initial snapshot alone
+    if not init.t < cfg.t_end - 1e-12:
+        raise SimulationError(
+            f"initial time t = {init.t:.6g} leaves no step before the end time "
+            f"t_end = {cfg.t_end:.6g}")
     _check_far_fields(init, cfg)
     convolver = FullLineConvolver(kernel, init.x, cfg.u_left, cfg.u_right)
     lo = min(cfg.u_left, cfg.u_right, init.u_min) - BAND_SLACK
     hi = max(cfg.u_left, cfg.u_right, init.u_max) + BAND_SLACK
 
-    traj = Trajectory(cfg, convolution={"fft_length": convolver._nfft,
+    traj = Trajectory(cfg, convolution={"method": convolver.method,
+                                        "fft_length": convolver._nfft,
                                         "band_cells": convolver.band,
                                         "dropped_mass": convolver.dropped_mass})
     traj.add(init, min(init.u_min - lo, hi - init.u_max))

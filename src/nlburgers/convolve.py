@@ -30,9 +30,12 @@ other sample is 0.  On the full line that shortens the FFT: m + 1
 samples need m + 1 + B points.  On the half line it only saves kernel
 evaluations and column sums: the Hankel term reaches offsets up to 2L
 and shares the Toeplitz spectrum, so a shorter FFT would alias it into
-the kept outputs, and the length stays at 2N.  Direct summation on the
-fine grid, kept in the test suite, is the reference, and the fast path
-must match it to 1e-10.
+the kept outputs, and the length stays at 2N.  The full line skips the
+FFT for the exponential family, the paper's radiating-gas kernel: its
+samples K(D dx) are K(0) rho^|D|, so the sum is two first-order
+recursions, run as cumulative sums on precomputed powers of rho.  Direct
+summation on the fine grid, kept in the test suite, is the reference,
+and the fast path must match it to 1e-10.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ SOLVER_TAIL_TOL = 1e-10
 #: kernel mass the full-line band may leave out: eps / 16 = 2^-56, below
 #: the rounding of a float64 row sum of unit mass
 ROUNDING_TAIL = np.finfo(float).eps / 16
+
+#: largest decay k x (span) one block of the exponential full-line
+#: recursion covers: its powers reach e^(+-GEOMETRIC_DECAY), normal floats
+GEOMETRIC_DECAY = 400.0
 
 
 class GridKernelError(ValueError):
@@ -350,17 +357,33 @@ class OddConvolver:
 class FullLineConvolver:
     """K*u on uniform samples of [a, b] with constant states outside.
 
-    Quadrature is trapezoid on the sample points themselves, over the
-    offsets |y| <= R with R = kernel.radius(ROUNDING_TAIL): the band of
-    B = min(m, ceil(R / dx)) cells on either side of each sample.  The
-    kernel mass beyond it is below float64 rounding of a unit-mass row, so
-    the band changes results by rounding only; kernels of exact support
-    (uniform, triangular, tabulated) drop nothing.  A band-limited
-    generator of 2B + 1 samples against m + 1 inputs needs m + 1 + B FFT
-    points, not 2m + 1; a band that covers the span gives the full plan.
-    Rows are normalized to unit sum (banded trapezoid weights plus the two
-    CDF tail terms), so constants are reproduced exactly: K*c = c.  The far
-    states u_left and u_right are the plan's: it sums their tail terms once.
+    Quadrature is trapezoid on the sample points themselves.  Rows are
+    normalized to unit sum (trapezoid weights against the kernel samples
+    plus the two CDF tail terms), so constants are reproduced exactly:
+    K*c = c.  The far states u_left and u_right are the plan's: it sums
+    their tail terms once.  ``method`` names how the weighted sum
+    sum_j K((i - j) dx) w_j u_j is formed.
+
+    "geometric", the exponential family: its samples are K(D dx) =
+    K(0) rho^|D|, rho = e^(-k dx), so for s = w u the sum is
+    K(0) (F_i + G_i - s_i), the diagonal counted once, with
+    F_i = sum_{j<=i} rho^(i-j) s_j = rho^i cumsum(rho^-j s_j) and G the
+    same on the reversed samples: one 2-row cumsum on powers rho^(+-j)
+    built once by cumprod, so that rho^i rho^-j is rho^(i-j) to i - j + 1
+    roundings.  Blocks of decay k x (block span) <= GEOMETRIC_DECAY each
+    start from the last F of the one before.  No offset is dropped
+    (``dropped_mass`` 0) and no FFT runs (``_nfft`` 0), except that an
+    apply whose running sums overflow (samples beyond about 1e130 in a
+    block of the full decay) hands over to the FFT below, of band ``band``.
+
+    "fft", every other kernel: the sum runs over the offsets |y| <= R,
+    R = kernel.radius(ROUNDING_TAIL), the band of B = min(m, ceil(R / dx))
+    cells on either side of each sample.  The kernel mass beyond it is
+    below float64 rounding of a unit-mass row, so the band changes results
+    by rounding only; kernels of exact support (uniform, triangular,
+    tabulated) drop nothing.  A band-limited generator of 2B + 1 samples
+    against m + 1 inputs needs m + 1 + B FFT points, not 2m + 1; a band
+    that covers the span gives the full plan.
     """
 
     def __init__(self, kernel: Kernel, x: np.ndarray, u_left: float, u_right: float):
@@ -380,28 +403,63 @@ class FullLineConvolver:
 
         m = x.size - 1
         b = min(m, int(np.ceil(kernel.radius(ROUNDING_TAIL) / dx[0])))
-        self.band = b
-        # kernel mass beyond the band, at most ROUNDING_TAIL; none when the
-        # band spans the domain, whose outside the CDF tails carry
-        self.dropped_mass = kernel.tail_mass(b * dx[0]) if b < m else 0.0
         self._weights = trapezoid_weights(m, dx[0])
         # K at offsets -B..B; output i is product entry i + B
         self._toeplitz = _Toeplitz(kernel.density((np.arange(2 * b + 1) - b) * dx[0]),
                                    m + 1, window=(b, b + m + 1))
-        # plan size, read by the simulator's run report and benchmark tracing
-        self._nfft = self._toeplitz.nfft
+        self._powers = None
+        rate = kernel.param * dx[0]
+        # a block holds two samples at least, so rho and 1 / rho are normal
+        geometric = kernel.family == "exponential" and rate <= GEOMETRIC_DECAY
+        if geometric:
+            up = np.full(min(m + 1, int(GEOMETRIC_DECAY / rate) + 1), np.exp(-rate))
+            up[0] = 1.0
+            np.cumprod(up, out=up)
+            self._powers = up, 1.0 / up
+            self._peak = float(kernel.density(0.0))
+        self.method = "geometric" if geometric else "fft"
+        self.band = b
+        # kernel mass the sum leaves out, at most ROUNDING_TAIL: none when
+        # the band spans the domain, whose outside the CDF tails carry, and
+        # none on the geometric path, which sums every offset
+        self.dropped_mass = kernel.tail_mass(b * dx[0]) if b < m and not geometric else 0.0
+        # FFT points per apply, read by the simulator's run report and
+        # benchmark tracing; an overflow hand-over is not counted
+        self._nfft = 0 if geometric else self._toeplitz.nfft
 
         tail_left = 1.0 - kernel.cdf(x - x[0])
         tail_right = kernel.cdf(x - x[-1])
-        self._row = self._toeplitz(self._weights) + tail_left + tail_right
+        self._row = self._correlate(self._weights) + tail_left + tail_right
         self._far_field = u_left * tail_left + u_right * tail_right
+
+    def _correlate(self, s: np.ndarray) -> np.ndarray:
+        """sum_j K((i - j) dx) s_j at every sample i, by ``method``."""
+        if self._powers is None:
+            return self._toeplitz(s)
+        up, down = self._powers
+        run = np.array((s, s[::-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, s.size, up.size):
+                part = run[:, start:start + up.size]
+                if start:
+                    part[:, 0] += up[1] * run[:, start - 1]
+                part *= down[:part.shape[1]]
+                np.cumsum(part, axis=1, out=part)
+                part *= up[:part.shape[1]]
+        # an overflow stays infinite or NaN through the last sum
+        if not np.isfinite(run[:, -1]).all():
+            return self._toeplitz(s)
+        out = run[0] + run[1, ::-1]
+        out -= s
+        out *= self._peak
+        return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """K*u at the sample points for u = values on [a, b]."""
         values = np.asarray(values, dtype=float)
         if values.shape != self.x.shape:
             raise FieldError("need one sample per node")
-        out = self._toeplitz(self._weights * values)
+        out = self._correlate(self._weights * values)
         out += self._far_field
         out /= self._row
         return out

@@ -14,10 +14,12 @@ Integrands are expected to be vectorized (ndarray -> ndarray).
 
 The step oracles at the end evaluate the simulator's explicit step as
 plain out-of-place array expressions; the package must match them bit
-for bit.
+for bit where its full-line sum runs by FFT, and to rounding where it
+runs the exponential family's recursion.
 """
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 
 class QuadratureError(RuntimeError):
@@ -168,15 +170,55 @@ def rusanov_flux_diff(u, u_left, u_right):
     return flux[1:] - flux[:-1]
 
 
-def full_line_apply(plan, kernel, values, u_left, u_right):
-    """FullLineConvolver.apply with the far-state tail taken here from
-    ``kernel.cdf``, not from the plan, and an out-of-place spectrum
-    product."""
-    toeplitz, x = plan._toeplitz, plan.x
-    spec = np.fft.rfft(plan._weights * values, toeplitz.nfft) * toeplitz._ft
-    out = np.fft.irfft(spec, toeplitz.nfft)[toeplitz._lo:toeplitz._hi]
-    out += u_left * (1.0 - kernel.cdf(x - x[0])) + u_right * kernel.cdf(x - x[-1])
-    return out / plan._row
+def full_line_correlation(kernel, x, s, band):
+    """sum_j K((i - j) dx) s_j over the offsets |i - j| <= band, by one
+    real FFT of the 2 band + 1 kernel samples, wrap-free at the next fast
+    length of m + 1 + band points.  With the plan's band this is the
+    plan's "fft" method bit for bit; with band m it takes every offset."""
+    m, dx = x.size - 1, x[1] - x[0]
+    nfft = next_fast_len(m + 1 + band, real=True)
+    generator = kernel.density((np.arange(2 * band + 1) - band) * dx)
+    spec = np.fft.rfft(s, nfft) * np.fft.rfft(generator, nfft)
+    return np.fft.irfft(spec, nfft)[band:band + m + 1]
+
+
+def geometric_correlation(kernel, x, s):
+    """The exponential family's sum as its two first-order recursions,
+    F_i = rho F_(i-1) + s_i and G_i = rho G_(i+1) + s_i with
+    rho = e^(-k dx), one sample at a time: K(0) (F + G - s)."""
+    rho = np.exp(-kernel.param * (x[1] - x[0]))
+    forward, backward = np.empty(s.size), np.empty(s.size)
+    acc = 0.0
+    for i in range(s.size):
+        acc = rho * acc + s[i]
+        forward[i] = acc
+    acc = 0.0
+    for i in reversed(range(s.size)):
+        acc = rho * acc + s[i]
+        backward[i] = acc
+    return kernel.density(0.0) * (forward + backward - s)
+
+
+def full_line_apply(plan, kernel, values, u_left, u_right, correlate=None):
+    """FullLineConvolver.apply from the plan's nodes and band alone: the
+    weights, rows and far-state tails are taken here from ``kernel``, and
+    ``correlate(s)`` forms the sum: by default geometric_correlation for
+    the exponential family and full_line_correlation on the plan's band
+    otherwise."""
+    x = plan.x
+    dx = x[1] - x[0]
+    weights = np.full(x.size, dx)
+    weights[0] = weights[-1] = 0.5 * dx
+    if correlate is None and kernel.family == "exponential":
+        def correlate(s):
+            return geometric_correlation(kernel, x, s)
+    elif correlate is None:
+        def correlate(s):
+            return full_line_correlation(kernel, x, s, plan.band)
+    tail_left, tail_right = 1.0 - kernel.cdf(x - x[0]), kernel.cdf(x - x[-1])
+    out = correlate(weights * values)
+    out += u_left * tail_left + u_right * tail_right
+    return out / (correlate(weights) + tail_left + tail_right)
 
 
 def explicit_step(u, plan, kernel, dt, dx, u_left, u_right):

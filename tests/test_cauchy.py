@@ -15,6 +15,7 @@ from nlburgers.convolve import FullLineConvolver
 from oracles import explicit_step
 
 EXP1 = kk.exponential_kernel(1.0)
+GAUSS1 = kk.gaussian_kernel(1.0)
 
 
 class TestConfig:
@@ -94,10 +95,10 @@ class TestStep:
         got = _explicit_update(u, conv, dt, dx, u_left, u_right)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("init", ["random", "riemann"])
-    def test_step_is_bitwise_the_expression_oracle(self, init):
-        # the in-place step evaluates the oracle's expressions in their
-        # order; int64 views tell -0.0 from 0.0
+    @staticmethod
+    def _oracle_steps(kernel, init):
+        """Three steps of the package and of the expression oracle, from
+        random data with signed zeros or from a Riemann jump."""
         cfg = cy.SimConfig(a=-40.0, b=40.0, m=400, t_end=1.0,
                            u_left=1.5, u_right=-0.75)
         x = cfg.centers()
@@ -110,14 +111,29 @@ class TestStep:
         else:
             u = np.where(x < 0.0, cfg.u_left, cfg.u_right)
         state = cy.SimState(x, u, 0.5)
-        conv = FullLineConvolver(EXP1, x, cfg.u_left, cfg.u_right)
+        conv = FullLineConvolver(kernel, x, cfg.u_left, cfg.u_right)
         for _ in range(3):
             dt = cy.stable_dt(state, cfg)
-            want = explicit_step(state.u, conv, EXP1, dt, cfg.dx, cfg.u_left, cfg.u_right)
+            want = explicit_step(state.u, conv, kernel, dt, cfg.dx, cfg.u_left, cfg.u_right)
             got = cy.step(state, cfg, conv, dt)
-            assert np.array_equal(got.u.view(np.int64), want.view(np.int64))
             assert got.t == state.t + dt
+            yield got.u, want
             state = got
+
+    @pytest.mark.parametrize("init", ["random", "riemann"])
+    def test_step_is_bitwise_the_expression_oracle(self, init):
+        # the in-place step evaluates the oracle's expressions in their
+        # order, on the FFT sum the oracle builds from the kernel's samples;
+        # int64 views tell -0.0 from 0.0
+        for got, want in self._oracle_steps(GAUSS1, init):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("init", ["random", "riemann"])
+    def test_exp_step_is_the_recursion_oracle(self, init):
+        # the exponential sum runs as cumsums on powers; the oracle runs
+        # its two recursions one sample at a time, which rounds otherwise
+        for got, want in self._oracle_steps(EXP1, init):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_non_finite_update_names_the_time(self):
         # the state check alone refuses a NaN or infinite update, naming
@@ -294,6 +310,17 @@ class TestSimulate:
         # the same centers computed another way are accepted
         moved = cy.SimState(np.linspace(-39.96, 39.96, 1000), init.u)
         assert cy.simulate(moved, EXP1, base).times[-1] == 0.5
+
+    @pytest.mark.parametrize("t0", [1.0, 3.0])
+    def test_initial_time_must_lie_before_the_end(self, t0):
+        # a state at or past t_end would come back as a one-snapshot
+        # trajectory, and only a later speed fit would fail
+        cfg = cy.SimConfig(a=-40.0, b=40.0, m=400, t_end=1.0,
+                           u_left=1.0, u_right=-1.0)
+        init = cy.initial_state(cfg, lambda x: -np.tanh(x))
+        with pytest.raises(cy.SimulationError,
+                           match=rf"t = {t0:g} leaves no step before the end time t_end = 1$"):
+            cy.simulate(cy.SimState(init.x, init.u, t0), EXP1, cfg)
 
     def test_flat_data_stays_flat(self):
         cfg = cy.SimConfig(a=-30.0, b=30.0, m=256, t_end=1.0,

@@ -474,17 +474,23 @@ class TestSimulateCommand:
         assert lines[0] == "t,x,u"
 
     def test_convolution_plan_reported(self, tmp_path):
-        # exp:k=1 at 4000 cells on [-40, 40]: a band of 1941 cells beyond
-        # which the kernel mass is below 2^-56, so 6000 FFT points
-        code = run(["simulate", "--kernel", "exp:k=1", "--cells", "4000",
-                    "--t-end", "0.25", "--out-dir", str(tmp_path)])
-        assert code == 0
-        diag = json.loads((tmp_path / "diagnostics.json").read_text())
-        conv = diag["convolution"]
-        assert sorted(conv) == ["band_cells", "dropped_mass", "fft_length"]
-        assert conv["fft_length"] == 6000
-        assert conv["band_cells"] == 1941
-        assert 0.0 < conv["dropped_mass"] <= 2.0 ** -56
+        # 4000 cells on [-40, 40]: exp runs its recursion over every offset,
+        # with no FFT and no mass left out; gauss sums a band of 427 cells,
+        # beyond which the kernel mass is below 2^-56, by 4500 FFT points
+        for kernel, method, fft_length, band in [("exp:k=1", "geometric", 0, 1941),
+                                                 ("gauss:sigma=1", "fft", 4500, 427)]:
+            out = tmp_path / method
+            code = run(["simulate", "--kernel", kernel, "--cells", "4000",
+                        "--t-end", "0.25", "--out-dir", str(out)])
+            assert code == 0
+            conv = json.loads((out / "diagnostics.json").read_text())["convolution"]
+            assert sorted(conv) == ["band_cells", "dropped_mass", "fft_length", "method"]
+            assert (conv["method"], conv["fft_length"], conv["band_cells"]) == (
+                method, fft_length, band)
+            if method == "geometric":
+                assert conv["dropped_mass"] == 0.0
+            else:
+                assert 0.0 < conv["dropped_mass"] <= 2.0 ** -56
 
     def test_tanh_init_and_level(self, tmp_path):
         code = run(["simulate", "--kernel", "exp:k=1", "--u-left", "2",

@@ -13,7 +13,7 @@ from nlburgers import convolve as cv
 from nlburgers import kernels as kk
 from nlburgers import waves as wv
 from nlburgers.convolve import trapezoid_weights
-from oracles import odd_plan_parts, refine_segments
+from oracles import full_line_apply, full_line_correlation, odd_plan_parts, refine_segments
 
 
 def triangle_table_kernel():
@@ -596,27 +596,36 @@ class TestFullLine:
         plan = cv.FullLineConvolver(ker, x, 0.0, 0.0)
         dx = x[1] - x[0]
         assert plan.band == min(cells, int(np.ceil(ker.radius(cv.ROUNDING_TAIL) / dx)))
-        assert plan._nfft == cv._fast_length(cells + 1 + plan.band)
-        assert plan._nfft <= cv._fast_length(2 * cells + 1)
         assert plan.band < cells
         assert ker.tail_mass(plan.band * dx) <= cv.ROUNDING_TAIL
+        if ker.family == "exponential":
+            # the recursion runs no FFT and sums every offset; the band
+            # sizes its overflow hand-over only
+            assert (plan.method, plan._nfft, plan.dropped_mass) == ("geometric", 0, 0.0)
+            return
+        assert plan.method == "fft"
+        assert plan._nfft == cv._fast_length(cells + 1 + plan.band)
+        assert plan._nfft <= cv._fast_length(2 * cells + 1)
         assert plan.dropped_mass == ker.tail_mass(plan.band * dx)
 
     def test_benchmark_grid_lengths(self):
-        # 4000 cells on [-40, 40]: 6000 points for exp, 4500 for gauss,
-        # against 8000 for a generator over the whole domain
+        # 4000 cells on [-40, 40]: no FFT for exp, whose hand-over would
+        # take 6000 points, and 4500 for gauss, against 8000 for a
+        # generator over the whole domain
         x = -40.0 + (np.arange(4000) + 0.5) * 0.02
         exp = cv.FullLineConvolver(kk.exponential_kernel(1.0), x, 1.0, -1.0)
         gauss = cv.FullLineConvolver(kk.gaussian_kernel(1.0), x, 1.0, -1.0)
-        assert (exp.band, exp._nfft) == (1941, 6000)
-        assert (gauss.band, gauss._nfft) == (427, 4500)
+        assert (exp.method, exp.band, exp._nfft, exp._toeplitz.nfft) == (
+            "geometric", 1941, 0, 6000)
+        assert (gauss.method, gauss.band, gauss._nfft) == ("fft", 427, 4500)
 
     @pytest.mark.parametrize("ker", FULL_LINE_KERNELS[:2], ids=lambda k: k.family)
     def test_band_over_the_whole_domain_is_the_full_plan(self, ker, monkeypatch):
-        # a span shorter than R: the band covers it, and plan and apply
-        # are bitwise those of a generator over all 2m + 1 offsets.  The
-        # span guard of 4 x radius(TAIL_TOL) exceeds R for every family
-        # kernel, so it is widened here to admit such a span
+        # a span shorter than R: the band covers it, and the FFT plan and
+        # apply are bitwise those of a generator over all 2m + 1 offsets;
+        # exp's recursion sums the same offsets to rounding.  The span
+        # guard of 4 x radius(TAIL_TOL) exceeds R for every family kernel,
+        # so it is widened here to admit such a span
         monkeypatch.setattr(cv, "TAIL_TOL", 0.5)
         x = np.linspace(-0.4 * ker.radius(cv.ROUNDING_TAIL),
                         0.4 * ker.radius(cv.ROUNDING_TAIL), 301)
@@ -625,7 +634,8 @@ class TestFullLine:
         assert (plan.band, plan.dropped_mass) == (m, 0.0)
         nfft = cv._fast_length(2 * m + 1)
         ft = np.fft.rfft(ker.density((np.arange(2 * m + 1) - m) * dx), nfft)
-        assert plan._nfft == nfft
+        geometric = ker.family == "exponential"
+        assert plan._nfft == (0 if geometric else nfft)
         assert np.array_equal(plan._toeplitz._ft.view(np.int64), ft.view(np.int64))
 
         def old_correlation(v):
@@ -641,9 +651,84 @@ class TestFullLine:
         old += -0.3 * tail_left + 0.2 * tail_right
         old /= row
         got = plan.apply(u)
-        assert np.array_equal(got.view(np.int64), old.view(np.int64))
+        if geometric:
+            assert np.max(np.abs(got - old)) <= 1e-14 * np.max(np.abs(u))
+        else:
+            assert np.array_equal(got.view(np.int64), old.view(np.int64))
 
     def test_domain_too_short(self):
         x = np.linspace(-3.0, 3.0, 200)
         with pytest.raises(cv.GridKernelError):
             cv.FullLineConvolver(kk.exponential_kernel(1.0), x, 0.0, 0.0)
+
+
+class TestGeometric:
+    """The exponential family's full-line sum as two first-order
+    recursions on precomputed powers."""
+
+    @staticmethod
+    def _grid(span, cells):
+        return -0.5 * span + np.arange(cells + 1) * (span / cells)
+
+    @pytest.mark.parametrize("cells, span", [(1000, 120.0), (2500, 160.0), (4000, 240.0)])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_samples_are_geometric(self, k, cells, span):
+        # the recursion replaces the FFT sum only because the kernel
+        # samples at offsets D dx are K(0) rho^|D|: a quadrature that
+        # samples otherwise breaks the plan's powers and fails here
+        ker = kk.exponential_kernel(k)
+        x = self._grid(span, cells)
+        plan = cv.FullLineConvolver(ker, x, 0.0, 0.0)
+        assert plan.method == "geometric"
+        up = plan._powers[0]
+        offsets = np.arange(1 - up.size, up.size)
+        samples = ker.density(offsets * (x[1] - x[0]))
+        want = ker.density(0.0) * up[np.abs(offsets)]
+        assert np.max(np.abs(samples / want - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("cells, span", [(1000, 120.0), (2500, 160.0), (6001, 300.0)])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_matches_the_fft_oracle(self, k, cells, span):
+        # against an FFT over every offset of the kernel's samples; k = 2
+        # on the longest span runs two blocks.  Constants are reproduced
+        # to a few roundings: K*c = c
+        ker = kk.exponential_kernel(k)
+        x = self._grid(span, cells)
+        for u_left, u_right in [(1.0, -1.0), (-0.5, 2.5), (3.0, 3.0), (0.0, 0.0)]:
+            u = (0.5 * (u_left + u_right) - 0.5 * (u_left - u_right) * np.tanh(x)
+                 + 0.3 * np.sin(x))
+            plan = cv.FullLineConvolver(ker, x, u_left, u_right)
+            want = full_line_apply(plan, ker, u, u_left, u_right,
+                                   lambda s: full_line_correlation(ker, x, s, cells))
+            assert np.max(np.abs(plan.apply(u) - want)) <= 1e-14 * np.max(np.abs(u))
+            constant = plan.apply(np.full(x.size, u_left))
+            if u_left == u_right:
+                assert np.max(np.abs(constant - u_left)) <= 4 * np.finfo(float).eps * abs(u_left)
+
+    @pytest.mark.parametrize("span", [399.8, 400.2, 1000.0])
+    def test_blocks_at_the_decay_bound(self, span):
+        # k span just below GEOMETRIC_DECAY takes one block of powers, just
+        # above it two (the second holds one sample), far above it five
+        ker = kk.exponential_kernel(1.0)
+        cells = round(span / 0.2)
+        x = self._grid(span, cells)
+        dx = x[1] - x[0]
+        plan = cv.FullLineConvolver(ker, x, 0.0, 0.0)
+        block = plan._powers[0].size
+        assert (block - 1) * dx <= cv.GEOMETRIC_DECAY < block * dx or block == cells + 1
+        assert (block == cells + 1) == (span < cv.GEOMETRIC_DECAY)
+        assert plan._nfft == 0
+        u = np.cos(x) + 0.5
+        want = full_line_apply(plan, ker, u, 0.0, 0.0,
+                               lambda s: full_line_correlation(ker, x, s, cells))
+        assert np.max(np.abs(plan.apply(u) - want)) <= 1e-14
+        # samples near 1e200 overflow the running sums of a block of this
+        # decay: that apply hands over to the FFT, finite and without a
+        # RuntimeWarning (the suite makes them errors)
+        fft, handed = plan._toeplitz, []
+        plan._toeplitz = lambda s: handed.append(s.size) or fft(s)
+        assert np.array_equal(plan.apply(u), plan.apply(u)) and handed == []
+        huge = plan.apply(1e200 * u)
+        assert handed == [cells + 1]
+        assert np.all(np.isfinite(huge))
+        assert np.max(np.abs(huge / 1e200 - want)) <= 1e-14
